@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from . import models, pipeline, training
-from .entropy import Bitstream, StreamError, WeightChecksumError, coding_order
+from .entropy import (STREAM_VERSION, Bitstream, StreamError, WeightChecksumError,
+                      coding_order)
 from .gradtape import load_weights, save_weights
 from .imageio import FormatError, read_ppm, write_ppm
 from .rangecoder import RangeError
@@ -39,11 +40,8 @@ def _load_image(path: str) -> np.ndarray:
 def _load_weights_arg(path: str | None):
     if path is None:
         return models.default_weights()
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        raise
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return load_weights(data)
     except ValueError as err:
@@ -135,7 +133,7 @@ def cmd_inspect(args) -> int:
         data = fh.read()
     bs = Bitstream.unpack(data)
     print("magic=IWV3")
-    print("version=1")
+    print(f"version={STREAM_VERSION}")
     print(f"mode={bs.mode}")
     print(f"levels={bs.levels}")
     print(f"true_width={bs.true_width}")

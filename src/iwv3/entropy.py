@@ -22,7 +22,7 @@ from scipy.special import ndtr as np_ndtr
 from . import gradtape as gt
 from .gradtape import ModelWeights, Tensor, save_weights
 from .imageio import padded_size
-from .lifting import SubbandPyramid, inverse2d_level, make_backend
+from .lifting import SubbandPyramid, codec_backend, inverse2d_level
 from .rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
 
 GMM_K = 3
@@ -85,28 +85,6 @@ def mask_b() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Context model
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ContextInputs:
-    """Bundled context grids: causal current subband and prior-subband stack.
-
-    Causality over s_t is enforced downstream by the masked convolutions;
-    this type only pins the geometry contract between the two grids.
-    """
-
-    s_t: object
-    l_t: object
-
-    def __post_init__(self):
-        s_shape = np.shape(self.s_t if not isinstance(self.s_t, Tensor)
-                           else self.s_t.data)
-        l_shape = np.shape(self.l_t if not isinstance(self.l_t, Tensor)
-                           else self.l_t.data)
-        if s_shape[-2:] != l_shape[-2:]:
-            raise ValueError("S_t and L_t resolutions differ")
-        if len(l_shape) >= 3 and l_shape[-3] != LT_WIDTH:
-            raise ValueError(f"L_t must carry {LT_WIDTH} grids")
-
 
 def context_forward(params, s_t, l_t, kind: str = "HL"):
     """Full-grid context net: (N,1,H,W) S_t and (N,3,H,W) L_t -> (N,3K,H,W).
@@ -222,22 +200,6 @@ class LongTermContext:
             self._seen = {}
 
 
-def long_term_context(pyramid: SubbandPyramid, target, backend) -> np.ndarray:
-    """L_t stack (3, H, W) for a target subband of a dequantized pyramid."""
-    ltc = LongTermContext(backend, pyramid.levels)
-    for level, kind in coding_order(pyramid.levels):
-        if (level, kind) == tuple(target):
-            grids = ltc.stack_for(level, kind)
-            like = pyramid.get(level, kind)
-            h, w = np.shape(like)[-2:]
-            return np.stack(
-                [np.zeros((h, w)) if g is None else np.asarray(g, dtype=np.float64)
-                 for g in grids]
-            )
-        ltc.advance(level, kind, pyramid.get(level, kind))
-    raise ValueError(f"target {target} not in coding order")
-
-
 # ---------------------------------------------------------------------------
 # Quantized CDF: 16-bit cumulative table with one guaranteed tick per symbol
 # ---------------------------------------------------------------------------
@@ -247,20 +209,6 @@ def _scalar_mix_cdf(w, u, sigma, x: float) -> float:
     for k in range(GMM_K):
         acc += w[k] * 0.5 * math.erfc((u[k] - x) / sigma[k] * _SQRT1_2)
     return acc
-
-
-def _quantized_cum_table(w, u, sigma, vmin: int, vmax: int) -> np.ndarray:
-    """Cumulative frequencies Q(0..A), strictly increasing, Q(A) == TOTAL."""
-    a = vmax - vmin + 1
-    scale = TOTAL - a
-    bounds = vmin - 0.5 + np.arange(1, a)
-    z = (bounds[None, :] - u[:, None]) / sigma[:, None]
-    f = (w[:, None] * np_ndtr(z)).sum(axis=0)
-    cum = np.empty(a + 1, dtype=np.int64)
-    cum[0] = 0
-    cum[1:a] = np.floor(f * scale).astype(np.int64) + np.arange(1, a)
-    cum[a] = TOTAL
-    return cum
 
 
 class _LazyCum:
@@ -519,6 +467,8 @@ class Bitstream:
                 raise StreamError(f"truncated payload at byte {pos}")
             payloads.append(bytes(data[pos : pos + n]))
             pos += n
+        if pos != len(data):
+            raise StreamError(f"{len(data) - pos} trailing bytes after the last payload")
         return cls(MODE_NAMES[mode_code], levels, tw, th, checksum, info, payloads)
 
 
@@ -540,23 +490,48 @@ def _lt_stack(grids, shape) -> np.ndarray:
     return out
 
 
-def _encode_channel(pyr, order, info, ctx_arrays, backend, levels):
-    rc = RangeEncoder()
+def code_channel(rc, bs: Bitstream, ctx_arrays, backend, pyramid=None):
+    """Code one channel's subbands in coding order through one range coder.
+
+    Encodes `pyramid` through a RangeEncoder, or decodes one from a
+    RangeDecoder when `pyramid` is None.  Both directions take the subband
+    shapes and (qstep, vmin, vmax) from the header fields of `bs`, and feed
+    the long-term context the same dequantized grids.  Returns the coded
+    pyramid and the model bits of each subband.
+    """
+    levels = bs.levels
+    pw = padded_size(bs.true_width, levels)
+    ph = padded_size(bs.true_height, levels)
     ltc = LongTermContext(backend, levels)
-    bits, symbols = [], []
-    for (level, kind), (qstep, vmin, vmax) in zip(order, info):
-        values = np.asarray(pyr.get(level, kind), dtype=np.int32)
-        l_t = _lt_stack(ltc.stack_for(level, kind), values.shape)
-        codec = SubbandCodec(ctx_arrays[kind], l_t, qstep, vmin, vmax, values.shape)
-        codec.run(rc, values)
+    out = SubbandPyramid(levels, None, [(None, None, None)] * levels)
+    bits = []
+    for (level, kind), (qstep, vmin, vmax) in zip(coding_order(levels), bs.subband_info):
+        shape = (ph >> level, pw >> level)
+        values = None
+        if pyramid is not None:
+            values = np.asarray(pyramid.get(level, kind), dtype=np.int32)
+            if values.shape != shape:
+                raise ValueError(f"subband {kind}{level} is {values.shape}, "
+                                 f"the header geometry gives {shape}")
+        l_t = _lt_stack(ltc.stack_for(level, kind), shape)
+        codec = SubbandCodec(ctx_arrays[kind], l_t, qstep, vmin, vmax, shape)
+        try:
+            values = codec.run(rc, values)
+        except RangeError as err:
+            raise RangeError(f"subband {kind}{level}: {err}") from err
+        out.set(level, kind, values)
         bits.append(codec.model_bits)
-        symbols.append(values.size)
         ltc.advance(level, kind, _deq_for_backend(values, qstep, backend))
-    return rc.finish(), bits, symbols
+    return out, bits
+
+
+def _context_arrays(weights: ModelWeights) -> dict:
+    return {kind: extract_context_arrays(weights, kind)
+            for kind in ("LL", "HL", "LH", "HH")}
 
 
 def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
-                 true_size, steps: int = 2, threads: int = 1) -> Bitstream:
+                 true_size, threads: int = 1) -> Bitstream:
     """Entropy-code three quantized channel pyramids into a bitstream."""
     if len(qpyramids) != 3:
         raise ValueError("expected three channel pyramids")
@@ -565,12 +540,10 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
     levels = qpyramids[0].levels
     order = coding_order(levels)
     if mode == "lossless":
-        backend = make_backend("lossless")
         for level, kind in order:
             if quantgrid.qstep(0, level, kind) != 1.0:
                 raise ValueError("lossless mode forces qstep = 1")
-    else:
-        backend = make_backend(mode, weights=weights, steps=steps)
+    backend = codec_backend(mode, weights)
 
     info = []
     for level, kind in order:
@@ -578,12 +551,14 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
         vmin = min(int(p.get(level, kind).min()) for p in qpyramids)
         vmax = max(int(p.get(level, kind).max()) for p in qpyramids)
         info.append((qstep, vmin, vmax))
-
-    ctx_arrays = {kind: extract_context_arrays(weights, kind)
-                  for kind in ("LL", "HL", "LH", "HH")}
+    tw, th = true_size
+    bs = Bitstream(mode, levels, tw, th, weights_checksum(weights), info, [])
+    ctx_arrays = _context_arrays(weights)
 
     def job(pyr):
-        return _encode_channel(pyr, order, info, ctx_arrays, backend, levels)
+        rc = RangeEncoder()
+        coded, bits = code_channel(rc, bs, ctx_arrays, backend, pyr)
+        return rc.finish(), bits, [coded.get(level, kind).size for level, kind in order]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -593,58 +568,28 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
     else:
         results = [job(pyr) for pyr in qpyramids]
 
-    stats = {"subband_bits": [], "symbols": []}
-    payloads = []
+    bs.stats = {"subband_bits": [], "symbols": []}
     for payload, bits, symbols in results:
-        payloads.append(payload)
-        stats["subband_bits"] += bits
-        stats["symbols"] += symbols
-    tw, th = true_size
-    bs = Bitstream(mode, levels, tw, th, weights_checksum(weights), info, payloads)
-    bs.stats = stats
+        bs.payloads.append(payload)
+        bs.stats["subband_bits"] += bits
+        bs.stats["symbols"] += symbols
     return bs
 
 
-def decode_image(data, weights: ModelWeights, steps: int = 2):
+def decode_image(data, weights: ModelWeights):
     """Decode a packed stream (or Bitstream) back to quantized pyramids."""
     bs = data if isinstance(data, Bitstream) else Bitstream.unpack(data)
     if bs.weight_checksum != weights_checksum(weights):
         raise WeightChecksumError(
             f"stream was written with different weights "
             f"(checksum {bs.weight_checksum:#018x})")
-    if bs.mode == "lossless":
-        backend = make_backend("lossless")
-    else:
-        backend = make_backend(bs.mode, weights=weights, steps=steps)
-    levels = bs.levels
-    order = coding_order(levels)
-    pw, ph = padded_size(bs.true_width, levels), padded_size(bs.true_height, levels)
-    ctx_arrays = {kind: extract_context_arrays(weights, kind)
-                  for kind in ("LL", "HL", "LH", "HH")}
+    backend = codec_backend(bs.mode, weights)
+    ctx_arrays = _context_arrays(weights)
     pyramids = []
     for ch, payload in enumerate(bs.payloads):
-        rc = RangeDecoder(payload)
-        ltc = LongTermContext(backend, levels)
-        details = [None] * levels
-        ll = None
-        for (level, kind), (qstep, vmin, vmax) in zip(order, bs.subband_info):
-            shape = (ph >> level, pw >> level)
-            l_t = _lt_stack(ltc.stack_for(level, kind), shape)
-            codec = SubbandCodec(ctx_arrays[kind], l_t, qstep, vmin, vmax, shape)
-            try:
-                values = codec.run(rc)
-            except RangeError as err:
-                raise StreamError(
-                    f"channel {ch} subband {kind}{level}: {err}") from err
-            if kind == "LL":
-                ll = values
-            else:
-                triple = details[level - 1] or {}
-                triple[kind] = values
-                details[level - 1] = triple
-            ltc.advance(level, kind, _deq_for_backend(values, qstep, backend))
-        pyramids.append(SubbandPyramid(
-            levels, ll,
-            [(d["HL"], d["LH"], d["HH"]) for d in details],
-        ))
+        try:
+            pyr, _ = code_channel(RangeDecoder(payload), bs, ctx_arrays, backend)
+        except RangeError as err:
+            raise StreamError(f"channel {ch} {err}") from err
+        pyramids.append(pyr)
     return bs, pyramids

@@ -371,32 +371,6 @@ def conv2d(x, w, b=None) -> Tensor:
     return _make(out, parents, back)
 
 
-_OP_TABLE = {
-    "conv2d": conv2d,
-    "relu": relu,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "exp": exp,
-    "tanh": tanh,
-    "scale-by-scalar": scale,
-    "sum": tsum,
-    "mean": tmean,
-}
-
-
-def op_apply(kind: str, inputs) -> Tensor:
-    """Apply a named operation to a list of inputs."""
-    fn = _OP_TABLE.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown op {kind!r}")
-    return fn(*inputs)
-
-
-def backward(tape: Tape, loss: Tensor) -> dict:
-    return tape.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # Named weight store and on-disk format
 # ---------------------------------------------------------------------------

@@ -175,23 +175,6 @@ class CnnLifting:
         return xe.data.reshape(np.shape(l)), xo.data.reshape(np.shape(h))
 
 
-def lift_forward_1d(backend, x_e, x_o):
-    """One full forward lifting pass on pre-split half signals."""
-    if np.shape(x_e)[-1] != np.shape(x_o)[-1]:
-        raise ValueError("half signals must have equal length")
-    return backend.forward_pair(x_e, x_o)
-
-
-def lift_inverse_1d(backend, l, h):
-    """Invert a forward pass and re-interleave into the original signal."""
-    if np.shape(l)[-1] != np.shape(h)[-1]:
-        raise ValueError("subband length mismatch")
-    x_e, x_o = backend.inverse_pair(l, h)
-    if isinstance(x_e, Tensor):
-        return interleave(x_e, x_o, axis=3)
-    return merge(x_e, x_o)
-
-
 # ---------------------------------------------------------------------------
 # 2D and pyramid transforms
 # ---------------------------------------------------------------------------
@@ -356,3 +339,22 @@ def make_backend(mode: str, weights=None, params=None, steps: int = 2):
             params = constant_params(weights)
         return CnnLifting(f"{mode}-cnn", params, steps=steps)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def infer_steps(weights) -> int:
+    """Number of predict/update stages a weight set's lifting nets carry."""
+    steps = 0
+    while f"xf.p{steps + 1}.c1.w" in weights:
+        steps += 1
+    return steps
+
+
+def codec_backend(mode: str, weights):
+    """The backend a stream of `mode` is coded with under `weights`.
+
+    Encoder and decoder both call this, so the lifting step count always
+    comes from the weights and never from a default that could disagree.
+    """
+    if mode == "lossless":
+        return Cdf53()
+    return make_backend(mode, weights=weights, steps=infer_steps(weights))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .entropy import CTX_CHANNELS, GMM_K, LT_WIDTH, ctx_prefix
 from .gradtape import ModelWeights, PUNet
+from .lifting import infer_steps
 from .postproc import DequantNet
 
 DEFAULT_STEPS = 2
@@ -141,13 +142,6 @@ def infer_transform_kind(weights: ModelWeights) -> str:
     if "xf.p1.c3.w" in weights:
         return "additive"
     raise ValueError("weights carry no transform nets")
-
-
-def infer_steps(weights: ModelWeights) -> int:
-    steps = 0
-    while f"xf.p{steps + 1}.c1.w" in weights:
-        steps += 1
-    return steps
 
 
 def infer_dq_shape(weights: ModelWeights) -> DequantNet:

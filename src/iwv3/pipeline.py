@@ -12,7 +12,7 @@ import numpy as np
 from . import models
 from .entropy import Bitstream, coding_order, decode_image, encode_image
 from .imageio import ImagePlanes
-from .lifting import forward_pyramid, inverse_pyramid, make_backend
+from .lifting import codec_backend, forward_pyramid, inverse_pyramid
 from .postproc import dequant_filter_plane
 from .quant import QuantGrid, quantize
 
@@ -32,17 +32,14 @@ def build_quantgrid(weights, mode: str, levels: int, qstep_offset: float = 0.0) 
 def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
                qstep_offset: float = 0.0, threads: int = 1) -> Bitstream:
     """Encode an (H, W, 3) uint8 image into a Bitstream."""
-    levels, steps, _ = models.validate_weights(weights, mode, levels)
+    levels, _, _ = models.validate_weights(weights, mode, levels)
     if mode == "lossless" and levels is None:
         levels = 3
     planes = ImagePlanes.from_rgb(rgb, levels)
     grid = build_quantgrid(weights, mode, levels, qstep_offset)
-    if mode == "lossless":
-        backend = make_backend("lossless")
-        channel_planes = [p.astype(np.int32) for p in planes.planes]
-    else:
-        backend = make_backend(mode, weights=weights, steps=steps)
-        channel_planes = [p.astype(np.float64) for p in planes.planes]
+    backend = codec_backend(mode, weights)
+    dtype = np.int32 if backend.integer_only else np.float64
+    channel_planes = [p.astype(dtype) for p in planes.planes]
     qpyramids = []
     for ch, plane in enumerate(channel_planes):
         pyr = forward_pyramid(backend, plane, levels)
@@ -53,7 +50,6 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
         qpyramids.append(qpyr)
     return encode_image(qpyramids, grid, weights, mode,
                         (planes.true_width, planes.true_height),
-                        steps=steps or models.DEFAULT_STEPS,
                         threads=threads)
 
 
@@ -61,11 +57,7 @@ def reconstruct(bs: Bitstream, pyramids, weights) -> np.ndarray:
     """Rebuild the RGB image a decoder would emit for decoded pyramids."""
     levels = bs.levels
     order = coding_order(levels)
-    if bs.mode == "lossless":
-        backend = make_backend("lossless")
-    else:
-        steps = models.infer_steps(weights)
-        backend = make_backend(bs.mode, weights=weights, steps=steps)
+    backend = codec_backend(bs.mode, weights)
     qsteps = dict(zip(order, (q for q, _, _ in bs.subband_info)))
     out_planes = []
     for pyr in pyramids:

@@ -9,7 +9,6 @@ to 12, with u drawn uniformly from [-0.5, 0.5] per coefficient per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,21 +71,6 @@ def anneal_alpha(step: int, total_steps: int) -> float:
     if step < 0 or step > total_steps:
         raise ValueError("step out of range")
     return min(ALPHA_MIN + (ALPHA_MAX - ALPHA_MIN) * step / total_steps, ALPHA_MAX)
-
-
-@dataclass
-class SoftQuantConfig:
-    """Temperature and noise stream for one soft-quantization pass."""
-
-    alpha: float
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
-            raise ValueError(f"alpha {self.alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
-
-    def noise_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.noise_seed)
 
 
 CHANNELS = (0, 1, 2)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -31,15 +32,16 @@ from .entropy import (
 )
 from .gradtape import ModelWeights, Tensor
 from .imageio import ImagePlanes
-from .lifting import (
-    Cdf97,
-    SubbandPyramid,
-    forward_pyramid,
-    inverse_pyramid,
-    make_backend,
-)
+from .lifting import Cdf97, forward_pyramid, inverse_pyramid, make_backend
 from .postproc import DequantNet, dequant_filter
-from .quant import anneal_alpha, quantize, soft_to_hard_quant
+from .quant import (
+    ALPHA_MAX,
+    ALPHA_MIN,
+    QuantGrid,
+    anneal_alpha,
+    quantize,
+    soft_to_hard_quant,
+)
 
 LN2 = math.log(2.0)
 
@@ -185,12 +187,8 @@ def rate_bits_tensor(params, kind: str, s_t: Tensor, l_t: Tensor, v: Tensor) -> 
     return gt.scale(gt.tsum(gt.log(safe)), -1.0 / LN2)
 
 
-def _distortion_tensor(params, dq_net: DequantNet, recon: Tensor, original) -> Tensor:
-    """Normalized Frobenius distortion after the dequantization filter."""
-    refined = dequant_filter(dq_net, params, recon)
-    diff = gt.sub(refined, _const(original))
-    n = diff.data.size
-    return gt.scale(gt.sqrt(gt.tsum(gt.mul(diff, diff))), 1.0 / math.sqrt(n))
+def _tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else _const(x)
 
 
 def _lt_tensor(grids, like: Tensor) -> Tensor:
@@ -199,8 +197,53 @@ def _lt_tensor(grids, like: Tensor) -> Tensor:
         if g is None:
             parts.append(_const(np.zeros(like.data.shape)))
         else:
-            parts.append(g if isinstance(g, Tensor) else _const(g))
+            parts.append(_tensor(g))
     return gt.concat_channels(parts)
+
+
+def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
+    """The rate/distortion chain shared by every training and evaluation graph.
+
+    Walks the subbands of `pyr` in coding order.  `quantizer(level, kind,
+    coeffs)` returns a subband's (values, dequantized grid); `rate(kind, s_t,
+    l_t, values)` charges the values' bits given the dequantized grid and the
+    long-term context of the grids coded before it.  The dequantized pyramid
+    is then inverted and refined by the dequantization filter.  Returns
+    (bits, refined).  Grids stay arrays when the quantizer returns arrays, so
+    a hard quantizer keeps the transform chain off the tape.
+    """
+    ltc = LongTermContext(backend, pyr.levels)
+    deq = pyr.map(lambda g: None)
+    bits = None
+    for level, kind in coding_order(pyr.levels):
+        values, grid = quantizer(level, kind, pyr.get(level, kind))
+        s_t = _tensor(grid)
+        l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
+        term = rate(kind, s_t, l_t, _tensor(values))
+        bits = term if bits is None else bits + term
+        ltc.advance(level, kind, grid)
+        deq.set(level, kind, grid)
+    recon = inverse_pyramid(backend, deq)
+    return bits, dequant_filter(dq_net, params, _tensor(recon))
+
+
+def _hard_quantizer(grid: QuantGrid):
+    """Hard rounding at a channel-uniform grid's steps, off the tape."""
+    def quantizer(level, kind, coeffs):
+        q = grid.qstep(0, level, kind)
+        values = quantize(coeffs, q)
+        return values, values.astype(np.float64) * q
+    return quantizer
+
+
+def _rd_loss(bits, refined: Tensor, original: np.ndarray, lam: float):
+    """bpp + lam * (Frobenius error / sqrt(pixels)); (total, LossReport)."""
+    n = original.size
+    bpp = gt.scale(bits, 1.0 / n)
+    diff = gt.sub(refined, _const(original))
+    l_obj = gt.scale(gt.sqrt(gt.tsum(gt.mul(diff, diff))), 1.0 / math.sqrt(n))
+    total = gt.add(bpp, gt.scale(l_obj, lam))
+    return total, LossReport(float(bpp.data), float(l_obj.data), float(total.data))
 
 
 class SgdMomentum:
@@ -245,26 +288,13 @@ def pretrain_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
     only reaches the dequant net; everything else stays untouched.
     """
     backend = Cdf97()
-    qstep = cfg.pretrain_qstep
-    pyr = forward_pyramid(backend, batch, cfg.levels)
-    qpyr = pyr.map(lambda g: quantize(g, qstep))
-    deq = qpyr.map(lambda g: g.astype(np.float64) * qstep)
-
     tape = gt.Tape()
     params = tape.params(weights)
-    bits = None
-    ltc = LongTermContext(backend, cfg.levels)
-    for level, kind in coding_order(cfg.levels):
-        v = _const(qpyr.get(level, kind))
-        s_t = _const(deq.get(level, kind))
-        l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
-        term = rate_bits_tensor(params, kind, s_t, l_t, v)
-        bits = term if bits is None else gt.add(bits, term)
-        ltc.advance(level, kind, deq.get(level, kind))
+    bits, refined = rd_graph(
+        backend, forward_pyramid(backend, batch, cfg.levels),
+        _hard_quantizer(QuantGrid.uniform(cfg.levels, cfg.pretrain_qstep)),
+        partial(rate_bits_tensor, params), params, cfg.dq_net())
     bpp = gt.scale(bits, 1.0 / batch.size)
-
-    recon = inverse_pyramid(backend, deq)
-    refined = dequant_filter(cfg.dq_net(), params, _const(recon))
     diff = gt.sub(refined, _const(batch))
     mse = gt.tmean(gt.mul(diff, diff))
     total = gt.add(bpp, gt.scale(mse, cfg.lam))
@@ -283,48 +313,24 @@ def soft_rd_graph(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
     Returns (tape, total loss tensor, LossReport); noise is drawn from rng
     per coefficient, so a reseeded generator reproduces the loss exactly.
     """
-    if not (2.0 <= alpha <= 12.0):
-        raise ValueError(f"alpha {alpha} outside [2, 12]")
+    if not (ALPHA_MIN <= alpha <= ALPHA_MAX):
+        raise ValueError(f"alpha {alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
     tape = gt.Tape()
     params = tape.params(weights)
     backend = make_backend(cfg.mode, params=params, steps=cfg.steps)
-    x = _const(batch)
-    pyr = forward_pyramid(backend, x, cfg.levels)
 
-    order = coding_order(cfg.levels)
-    soft = {}
-    deq = {}
-    for level, kind in order:
+    def quantizer(level, kind, coeffs):
         logq = params[_logq_name(level, kind, cfg.levels)]
         inv_q = gt.exp(gt.scale(logq, -1.0))
         q = gt.exp(logq)
-        coeff = pyr.get(level, kind)
-        y = gt.smul(coeff, inv_q)
-        noise = rng.uniform(-0.5, 0.5, size=y.data.shape)
-        v = soft_to_hard_quant(y, alpha, noise)
-        soft[(level, kind)] = v
-        deq[(level, kind)] = gt.smul(v, q)
+        y = gt.smul(coeffs, inv_q)
+        v = soft_to_hard_quant(y, alpha, rng.uniform(-0.5, 0.5, size=y.data.shape))
+        return v, gt.smul(v, q)
 
-    bits = None
-    ltc = LongTermContext(backend, cfg.levels)
-    for level, kind in order:
-        s_t = deq[(level, kind)]
-        l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
-        term = rate_bits_tensor(params, kind, s_t, l_t, soft[(level, kind)])
-        bits = term if bits is None else gt.add(bits, term)
-        ltc.advance(level, kind, deq[(level, kind)])
-    bpp = gt.scale(bits, 1.0 / batch.size)
-
-    deq_pyr = SubbandPyramid(
-        cfg.levels,
-        deq[(cfg.levels, "LL")],
-        [tuple(deq[(level, kind)] for kind in ("HL", "LH", "HH"))
-         for level in range(1, cfg.levels + 1)],
-    )
-    recon = inverse_pyramid(backend, deq_pyr)
-    l_obj = _distortion_tensor(params, cfg.dq_net(), recon, batch)
-    total = gt.add(bpp, gt.scale(l_obj, cfg.lam))
-    report = LossReport(float(bpp.data), float(l_obj.data), float(total.data))
+    bits, refined = rd_graph(backend, forward_pyramid(backend, _const(batch), cfg.levels),
+                             quantizer, partial(rate_bits_tensor, params), params,
+                             cfg.dq_net())
+    total, report = _rd_loss(bits, refined, batch, cfg.lam)
     return tape, total, report
 
 
@@ -342,42 +348,14 @@ def hard_finetune_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfi
                        opt: SgdMomentum, rng: np.random.Generator) -> LossReport:
     """Stage 3: hard rounding with a random step offset; transform frozen."""
     offset = float(rng.uniform(-cfg.qstep_offset_range, cfg.qstep_offset_range))
+    grid = QuantGrid.from_weights(weights, cfg.levels).scaled(offset)
     backend = make_backend(cfg.mode, weights=weights, steps=cfg.steps)
-    pyr = forward_pyramid(backend, _const(batch), cfg.levels)
-
     tape = gt.Tape()
     params = tape.params(weights)
-    order = coding_order(cfg.levels)
-    qpyr, deq = {}, {}
-    for level, kind in order:
-        q = math.exp(float(weights.get(_logq_name(level, kind, cfg.levels)))) * (1.0 + offset)
-        if q <= 0:
-            raise ValueError("offset drives qstep to zero or below")
-        values = quantize(pyr.get(level, kind).data, q)
-        qpyr[(level, kind)] = values
-        deq[(level, kind)] = values.astype(np.float64) * q
-
-    bits = None
-    ltc = LongTermContext(backend, cfg.levels)
-    for level, kind in order:
-        s_t = _const(deq[(level, kind)])
-        l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
-        term = rate_bits_tensor(params, kind, s_t, l_t, _const(qpyr[(level, kind)]))
-        bits = term if bits is None else gt.add(bits, term)
-        ltc.advance(level, kind, deq[(level, kind)])
-    bpp = gt.scale(bits, 1.0 / batch.size)
-
-    deq_pyr = SubbandPyramid(
-        cfg.levels,
-        _const(deq[(cfg.levels, "LL")]),
-        [tuple(_const(deq[(level, kind)]) for kind in ("HL", "LH", "HH"))
-         for level in range(1, cfg.levels + 1)],
-    )
-    recon = inverse_pyramid(backend, deq_pyr)
-    l_obj = _distortion_tensor(params, cfg.dq_net(), _const(recon.data), batch)
-    total = gt.add(bpp, gt.scale(l_obj, cfg.lam))
-
-    report = LossReport(float(bpp.data), float(l_obj.data), float(total.data))
+    bits, refined = rd_graph(backend, forward_pyramid(backend, batch, cfg.levels),
+                             _hard_quantizer(grid), partial(rate_bits_tensor, params),
+                             params, cfg.dq_net())
+    total, report = _rd_loss(bits, refined, batch, cfg.lam)
     _check_finite(report, "stage 3")
     grads = tape.backward(total)
     opt.step(weights, grads, cfg.lr3, _trainable_names(weights, 3))
@@ -471,40 +449,29 @@ def run_training(cfg: TrainConfig, images_rgb, log_fn=None, snapshots=None):
 
 def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig,
             qstep_offset: float = 0.0) -> LossReport:
-    """Deterministic hard-quantization RD of single planes under a model."""
+    """Deterministic hard-quantization RD of single planes under a model.
+
+    The rate is the coder's own model cross-entropy (`gmm_bits`, tails
+    absorbed at each subband's value range), not the training surrogate.
+    """
     backend = make_backend(cfg.mode, weights=weights, steps=cfg.steps)
-    params = {name: Tensor(values) for name, values in weights.items()}
+    params = gt.constant_params(weights)
+    quantizer = _hard_quantizer(
+        QuantGrid.from_weights(weights, cfg.levels).scaled(qstep_offset))
+
+    def model_bits(kind, s_t, l_t, v):
+        raw = context_forward(params, s_t, l_t, kind).data[0]
+        values = v.data[0, 0]
+        return gmm_bits(raw, values, int(values.min()), int(values.max()))
+
     total_bits = 0.0
     sq_err = 0.0
     n_pix = 0
     for plane in planes:
         plane = np.asarray(plane, dtype=np.float64)
-        batch = plane[None, None]
-        pyr = forward_pyramid(backend, _const(batch), cfg.levels)
-        order = coding_order(cfg.levels)
-        qpyr, deq = {}, {}
-        for level, kind in order:
-            q = math.exp(float(weights.get(_logq_name(level, kind, cfg.levels))))
-            q *= 1.0 + qstep_offset
-            values = quantize(pyr.get(level, kind).data, q)
-            qpyr[(level, kind)] = values
-            deq[(level, kind)] = values.astype(np.float64) * q
-        ltc = LongTermContext(backend, cfg.levels)
-        for level, kind in order:
-            s_t = _const(deq[(level, kind)])
-            l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
-            raw = context_forward(params, s_t, l_t, kind).data[0]
-            v = qpyr[(level, kind)][0, 0]
-            total_bits += gmm_bits(raw, v, int(v.min()), int(v.max()))
-            ltc.advance(level, kind, deq[(level, kind)])
-        deq_pyr = SubbandPyramid(
-            cfg.levels,
-            _const(deq[(cfg.levels, "LL")]),
-            [tuple(_const(deq[(level, kind)]) for kind in ("HL", "LH", "HH"))
-             for level in range(1, cfg.levels + 1)],
-        )
-        recon = inverse_pyramid(backend, deq_pyr)
-        refined = dequant_filter(cfg.dq_net(), params, recon)
+        pyr = forward_pyramid(backend, plane[None, None], cfg.levels)
+        bits, refined = rd_graph(backend, pyr, quantizer, model_bits, params, cfg.dq_net())
+        total_bits += bits
         sq_err += float(np.sum((refined.data[0, 0] - plane) ** 2))
         n_pix += plane.size
     l_obj = math.sqrt(sq_err / n_pix)
@@ -539,7 +506,15 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
     grid = pipeline.build_quantgrid(weights, mode, levels)
     planes0 = ImagePlanes.from_rgb(rgb, levels)
     cur = [np.asarray(p, dtype=np.float64) for p in planes0.planes]
-    order = coding_order(levels)
+    const_params = gt.constant_params(weights)
+    backend = make_backend(mode, params=const_params, steps=steps)
+    rate = partial(rate_bits_tensor, const_params)
+
+    def quantizer(level, kind, coeffs):
+        # the encoder's own steps at the sharpest temperature, without noise
+        q = grid.qstep(0, level, kind)
+        v = soft_to_hard_quant(gt.scale(coeffs, 1.0 / q), ALPHA_MAX, 0.0)
+        return v, gt.scale(v, q)
 
     for _ in range(iters):
         if lr == 0.0:
@@ -547,34 +522,9 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
         for ch in range(3):
             tape = gt.Tape()
             x = tape.leaf(cur[ch][None, None], name="image", requires_grad=True)
-            const_params = gt.constant_params(weights)
-            backend = make_backend(mode, params=const_params, steps=steps)
-            pyr = forward_pyramid(backend, x, levels)
-            soft, deq = {}, {}
-            for level, kind in order:
-                q = grid.qstep(ch, level, kind)
-                y = gt.scale(pyr.get(level, kind), 1.0 / q)
-                v = soft_to_hard_quant(y, 12.0, 0.0)
-                soft[(level, kind)] = v
-                deq[(level, kind)] = gt.scale(v, q)
-            bits = None
-            ltc = LongTermContext(backend, levels)
-            for level, kind in order:
-                s_t = deq[(level, kind)]
-                l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
-                term = rate_bits_tensor(const_params, kind, s_t, l_t, soft[(level, kind)])
-                bits = term if bits is None else gt.add(bits, term)
-                ltc.advance(level, kind, deq[(level, kind)])
-            bpp = gt.scale(bits, 1.0 / cur[ch].size)
-            deq_pyr = SubbandPyramid(
-                levels,
-                deq[(levels, "LL")],
-                [tuple(deq[(level, kind)] for kind in ("HL", "LH", "HH"))
-                 for level in range(1, levels + 1)],
-            )
-            recon = inverse_pyramid(backend, deq_pyr)
-            l_obj = _distortion_tensor(const_params, dq_net, recon, cur[ch][None, None])
-            total = gt.add(bpp, gt.scale(l_obj, lam))
+            bits, refined = rd_graph(backend, forward_pyramid(backend, x, levels),
+                                     quantizer, rate, const_params, dq_net)
+            total, _ = _rd_loss(bits, refined, cur[ch][None, None], lam)
             if not math.isfinite(float(total.data)):
                 raise TrainingError("non-finite gradient target in online optimization")
             tape.backward(total)

@@ -25,13 +25,15 @@ def natural_photo(height, width, seed):
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
-def perturbed_lossy_weights(mode, levels, seed, scale=0.02, init_qstep=16.0):
+def perturbed_lossy_weights(mode, levels, seed, scale=0.02, init_qstep=16.0,
+                            steps=models.DEFAULT_STEPS):
     """Init weights with small noise everywhere, so nets are active but tame.
 
     Raw-scale heads get a 10x gentler perturbation: the trunk features they
     see are large, and trained models keep multiplicative scales near one.
     """
-    weights = models.init_weights(mode, levels, seed=seed, init_qstep=init_qstep)
+    weights = models.init_weights(mode, levels, seed=seed, init_qstep=init_qstep,
+                                  steps=steps)
     rng = np.random.default_rng(seed + 1000)
     for name in weights.names():
         if name.startswith("q."):

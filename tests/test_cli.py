@@ -129,6 +129,15 @@ class TestInspect:
         assert lines[0] == "magic=IWV3"
         assert len(lines) == 7 + 3 * (3 * levels + 1)
 
+    def test_trailing_byte_exit_5(self, workdir, capsys):
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(9, 9, 11))
+        stream = workdir / "s.iwv3"
+        assert main(["encode", str(src), str(stream)]) == 0
+        stream.write_bytes(stream.read_bytes() + b"\0")
+        assert main(["inspect", str(stream)]) == 5
+        assert "trailing" in capsys.readouterr().err
+
     def test_corrupt_magic_exit_5(self, workdir, capsys):
         bad = workdir / "bad.iwv3"
         bad.write_bytes(b"XXXX" + bytes(60))

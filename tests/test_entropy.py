@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from iwv3 import models
 from iwv3.entropy import (
@@ -20,17 +21,29 @@ from iwv3.entropy import (
     extract_context_arrays,
     gmm_bits,
     gmm_prob,
-    long_term_context,
     mask_a,
     mask_b,
     weights_checksum,
-    _quantized_cum_table,
     _LazyCum,
 )
 from iwv3.gradtape import Tensor
 from iwv3.lifting import Cdf53, SubbandPyramid, forward_pyramid, make_backend
 from iwv3.quant import QuantGrid
 from iwv3.rangecoder import TOTAL
+
+
+def _quantized_cum_table(w, u, sigma, vmin: int, vmax: int) -> np.ndarray:
+    """Cumulative frequencies Q(0..A), strictly increasing, Q(A) == TOTAL."""
+    a = vmax - vmin + 1
+    scale = TOTAL - a
+    bounds = vmin - 0.5 + np.arange(1, a)
+    z = (bounds[None, :] - u[:, None]) / sigma[:, None]
+    f = (w[:, None] * ndtr(z)).sum(axis=0)
+    cum = np.empty(a + 1, dtype=np.int64)
+    cum[0] = 0
+    cum[1:a] = np.floor(f * scale).astype(np.int64) + np.arange(1, a)
+    cum[a] = TOTAL
+    return cum
 
 
 def random_ctx_weights(seed, scale=0.05):
@@ -72,29 +85,35 @@ class TestLongTermContext:
         plane = rng.integers(-200, 200, (8 << levels, 8 << levels)).astype(np.int32)
         return forward_pyramid(Cdf53(), plane, levels)
 
+    def _stack_before(self, pyr, n):
+        """Context stack for the n-th subband in coding order."""
+        ltc = LongTermContext(Cdf53(), pyr.levels)
+        order = coding_order(pyr.levels)
+        for level, kind in order[:n]:
+            ltc.advance(level, kind, pyr.get(level, kind))
+        return ltc.stack_for(*order[n])
+
     def test_first_subband_zero_stack(self):
         pyr = self._deq_pyramid(2)
-        stack = long_term_context(pyr, (2, "LL"), Cdf53())
-        assert stack.shape == (3,) + pyr.ll.shape
-        assert np.all(stack == 0)
+        assert self._stack_before(pyr, 0) == [None, None, None]
 
     def test_same_level_stack_contents(self):
         pyr = self._deq_pyramid(3)
-        stack = long_term_context(pyr, (3, "LH"), Cdf53())
-        assert np.array_equal(stack[0], pyr.ll.astype(float))
-        assert np.array_equal(stack[1], pyr.get(3, "HL").astype(float))
-        assert np.all(stack[2] == 0)
+        stack = self._stack_before(pyr, 2)  # LH3
+        assert np.array_equal(stack[0], pyr.ll)
+        assert np.array_equal(stack[1], pyr.get(3, "HL"))
+        assert stack[2] is None
 
     def test_cross_level_synthesis_resolution(self):
         pyr = self._deq_pyramid(3)
-        stack = long_term_context(pyr, (2, "HL"), Cdf53())
-        assert stack.shape == (3,) + pyr.get(2, "HL").shape
+        stack = self._stack_before(pyr, 4)  # HL2
+        assert stack[0].shape == pyr.get(2, "HL").shape
         # the synthesized low band is the true level-2 LL for exact grids
         from iwv3.lifting import inverse2d_level
 
         ll2 = inverse2d_level(Cdf53(), pyr.ll, *pyr.details[2])
-        assert np.array_equal(stack[0], ll2.astype(float))
-        assert np.all(stack[1] == 0) and np.all(stack[2] == 0)
+        assert np.array_equal(stack[0], ll2)
+        assert stack[1] is None and stack[2] is None
 
     def test_missing_predecessor_rejected(self):
         ltc = LongTermContext(Cdf53(), 2)
@@ -160,15 +179,6 @@ class TestContextForward:
         with pytest.raises(ValueError, match="channels"):
             context_forward(params, Tensor(np.zeros((1, 1, 4, 4))),
                             Tensor(np.zeros((1, 2, 4, 4))), "HL")
-
-    def test_context_inputs_geometry_contract(self):
-        from iwv3.entropy import ContextInputs
-
-        ContextInputs(np.zeros((4, 6)), np.zeros((3, 4, 6)))
-        with pytest.raises(ValueError, match="resolutions"):
-            ContextInputs(np.zeros((4, 6)), np.zeros((3, 4, 4)))
-        with pytest.raises(ValueError, match="grids"):
-            ContextInputs(np.zeros((4, 6)), np.zeros((2, 4, 6)))
 
 
 class TestGmm:
@@ -367,6 +377,14 @@ class TestImageCodec:
                               "lossless", (8, 8)).pack()
         with pytest.raises(StreamError, match="byte"):
             decode_image(packed[:30], weights)
+
+    def test_payload_shorter_than_coder_state_is_stream_error(self):
+        weights = models.default_weights()
+        bs = encode_image(_quantized_pyramids(1, 8, seed=42), QuantGrid.uniform(1, 1.0),
+                          weights, "lossless", (8, 8))
+        bs.payloads[1] = bs.payloads[1][:2]
+        with pytest.raises(StreamError, match="channel 1"):
+            decode_image(bs.pack(), weights)
 
     def test_corrupt_payload_detected(self):
         weights = random_ctx_weights(43)

@@ -8,7 +8,6 @@ from iwv3.gradtape import (
     Tape,
     Tensor,
     load_weights,
-    op_apply,
     pu_forward,
     save_weights,
 )
@@ -138,22 +137,18 @@ class TestOpGradients:
 
 class TestOpForward:
     def test_relu_values(self):
-        out = op_apply("relu", [Tensor(np.array([-1.0, 0.0, 2.0]))])
+        out = gt.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert out.data.tolist() == [0.0, 0.0, 2.0]
 
     def test_exp_identity_point(self):
-        assert op_apply("exp", [Tensor(np.array([0.0]))]).data.tolist() == [1.0]
+        assert gt.exp(Tensor(np.array([0.0]))).data.tolist() == [1.0]
 
     def test_conv2d_ones(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = op_apply("conv2d", [x, w])
+        out = gt.conv2d(x, w)
         assert out.data[0, 0, 1, 1] == 9.0
         assert out.data[0, 0, 0, 0] == 4.0
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown op"):
-            op_apply("matmul", [])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):

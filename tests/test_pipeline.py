@@ -35,22 +35,33 @@ class TestLossless:
             pipeline.encode_rgb(rgb, weights, "lossless", levels=2, qstep_offset=0.5)
 
 
+def assert_decodes_encoder_quantization(rgb, weights, mode, steps):
+    """decode_image returns exactly the encoder's quantized pyramids."""
+    bs = pipeline.encode_rgb(rgb, weights, mode)
+    _, pyramids = decode_image(bs.pack(), weights)
+    grid = pipeline.build_quantgrid(weights, mode, 2)
+    planes = ImagePlanes.from_rgb(rgb, 2)
+    backend = make_backend(mode, weights=weights, steps=steps)
+    for ch, plane in enumerate(planes.planes):
+        pyr = forward_pyramid(backend, plane.astype(np.float64), 2)
+        for level, kind in coding_order(2):
+            expect = quantize(pyr.get(level, kind), grid.qstep(ch, level, kind))
+            assert np.array_equal(expect, pyramids[ch].get(level, kind))
+
+
 class TestLossy:
     @pytest.mark.parametrize("mode", ["additive", "affine"])
     def test_decode_matches_encoder_quantization(self, mode):
         rng = np.random.default_rng(1)
         weights = perturbed_lossy_weights(mode, 2, seed=5)
         rgb = rng.integers(0, 256, (11, 14, 3), dtype=np.uint8)
-        bs = pipeline.encode_rgb(rgb, weights, mode)
-        _, pyramids = decode_image(bs.pack(), weights)
-        grid = pipeline.build_quantgrid(weights, mode, 2)
-        planes = ImagePlanes.from_rgb(rgb, 2)
-        backend = make_backend(mode, weights=weights)
-        for ch, plane in enumerate(planes.planes):
-            pyr = forward_pyramid(backend, plane.astype(np.float64), 2)
-            for level, kind in coding_order(2):
-                expect = quantize(pyr.get(level, kind), grid.qstep(ch, level, kind))
-                assert np.array_equal(expect, pyramids[ch].get(level, kind))
+        assert_decodes_encoder_quantization(rgb, weights, mode, 2)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_decoder_takes_step_count_from_weights(self, steps):
+        weights = perturbed_lossy_weights("additive", 2, seed=5, steps=steps)
+        assert_decodes_encoder_quantization(natural_photo(24, 24, 12), weights,
+                                            "additive", steps)
 
     def test_reconstruction_quality_sane(self):
         weights = perturbed_lossy_weights("additive", 2, seed=6)

@@ -6,7 +6,6 @@ import pytest
 from iwv3 import gradtape as gt
 from iwv3.quant import (
     QuantGrid,
-    SoftQuantConfig,
     anneal_alpha,
     dequantize,
     quantize,
@@ -137,22 +136,6 @@ class TestAnneal:
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
             anneal_alpha(0, 0)
-
-
-class TestSoftQuantConfig:
-    def test_alpha_bounds_enforced(self):
-        SoftQuantConfig(2.0)
-        SoftQuantConfig(12.0)
-        with pytest.raises(ValueError):
-            SoftQuantConfig(1.5)
-        with pytest.raises(ValueError):
-            SoftQuantConfig(12.5)
-
-    def test_noise_stream_seeded(self):
-        cfg = SoftQuantConfig(4.0, noise_seed=9)
-        a = cfg.noise_rng().uniform(-0.5, 0.5, 10)
-        b = cfg.noise_rng().uniform(-0.5, 0.5, 10)
-        assert np.array_equal(a, b)
 
 
 class TestQuantGrid:

@@ -3,6 +3,7 @@ import pytest
 
 from iwv3 import models, training
 from iwv3.gradtape import save_weights
+from iwv3.quant import ALPHA_MAX, ALPHA_MIN
 from iwv3.training import (
     LossReport,
     SgdMomentum,
@@ -164,6 +165,30 @@ class TestStageContracts:
         weights.set("dq.tail.w", weights.get("dq.tail.w") + 1e308)
         with pytest.raises(TrainingError, match="non-finite"):
             pretrain_step(small_batch(cfg), weights, cfg, SgdMomentum())
+
+
+class TestSoftRdGraph:
+    def _setup(self):
+        cfg = small_cfg(batch=1, crop=16)
+        weights = models.init_weights(cfg.mode, cfg.levels, seed=12)
+        return cfg, weights, small_batch(cfg)
+
+    def test_alpha_bounds_enforced(self):
+        cfg, weights, batch = self._setup()
+        for alpha in (ALPHA_MIN, ALPHA_MAX):
+            soft_rd_graph(batch, weights, cfg, alpha, np.random.default_rng(0))
+        for alpha in (1.5, 12.5):
+            with pytest.raises(ValueError, match="alpha"):
+                soft_rd_graph(batch, weights, cfg, alpha, np.random.default_rng(0))
+
+    def test_reseeded_noise_reproduces_loss(self):
+        cfg, weights, batch = self._setup()
+
+        def report(seed):
+            return soft_rd_graph(batch, weights, cfg, 4.0, np.random.default_rng(seed))[2]
+
+        assert report(9) == report(9)
+        assert report(9) != report(10)
 
 
 class TestEndToEndGradient:
