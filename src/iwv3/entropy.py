@@ -22,7 +22,8 @@ from scipy.special import ndtr as np_ndtr
 from . import gradtape as gt
 from .gradtape import ModelWeights, Tensor, save_weights
 from .imageio import padded_size
-from .lifting import SubbandPyramid, codec_backend, inverse2d_level
+from .lifting import SUBBAND_KINDS, SubbandPyramid, inverse2d_level, make_backend
+from .quant import dequantize
 from .rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
 
 GMM_K = 3
@@ -479,7 +480,7 @@ class Bitstream:
 def _deq_for_backend(values: np.ndarray, qstep: float, backend):
     if getattr(backend, "integer_only", False):
         return values.astype(np.int32)
-    return values.astype(np.float64) * qstep
+    return dequantize(values, qstep)
 
 
 def _lt_stack(grids, shape) -> np.ndarray:
@@ -526,8 +527,7 @@ def code_channel(rc, bs: Bitstream, ctx_arrays, backend, pyramid=None):
 
 
 def _context_arrays(weights: ModelWeights) -> dict:
-    return {kind: extract_context_arrays(weights, kind)
-            for kind in ("LL", "HL", "LH", "HH")}
+    return {kind: extract_context_arrays(weights, kind) for kind in SUBBAND_KINDS}
 
 
 def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
@@ -543,7 +543,7 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
         for level, kind in order:
             if quantgrid.qstep(0, level, kind) != 1.0:
                 raise ValueError("lossless mode forces qstep = 1")
-    backend = codec_backend(mode, weights)
+    backend = make_backend(mode, weights=weights)
 
     info = []
     for level, kind in order:
@@ -583,7 +583,7 @@ def decode_image(data, weights: ModelWeights):
         raise WeightChecksumError(
             f"stream was written with different weights "
             f"(checksum {bs.weight_checksum:#018x})")
-    backend = codec_backend(bs.mode, weights)
+    backend = make_backend(bs.mode, weights=weights)
     ctx_arrays = _context_arrays(weights)
     pyramids = []
     for ch, payload in enumerate(bs.payloads):

@@ -153,3 +153,17 @@ class ImagePlanes:
         h, w = self.true_height, self.true_width
         rgb = ycocgr_to_rgb(*(crop(p, h, w) for p in self.planes))
         return np.clip(rgb, 0, 255).astype(np.uint8)
+
+
+def planes_to_rgb(planes, true_width: int, true_height: int) -> np.ndarray:
+    """RGB image of reconstructed (Y, Co, Cg) planes at padded size.
+
+    Samples are rounded and clipped to the range YCoCg-R gives 8-bit input
+    (Y in [0, 255], Co and Cg in [-255, 255]) before the inverse transform.
+    """
+    y, co, cg = (np.rint(p) for p in planes)
+    y = np.clip(y, 0, 255).astype(np.int16)
+    co = np.clip(co, -255, 255).astype(np.int16)
+    cg = np.clip(cg, -255, 255).astype(np.int16)
+    ph, pw = y.shape
+    return ImagePlanes(y, co, cg, true_width, true_height, pw, ph).to_rgb()

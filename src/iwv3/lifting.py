@@ -27,7 +27,7 @@ from .gradtape import (
     take_odd,
 )
 
-SUBBAND_TYPES = ("LL", "HL", "LH", "HH")
+SUBBAND_KINDS = ("LL", "HL", "LH", "HH")
 
 
 def split(signal):
@@ -59,7 +59,6 @@ def _shift_left(a):
 class Cdf53:
     """Reversible integer 5/3 lifting (the lossless transform)."""
 
-    kind = "cdf53"
     integer_only = True
 
     def forward_pair(self, x_e, x_o):
@@ -84,7 +83,6 @@ class Cdf53:
 class Cdf97:
     """Classical 9/7 float lifting, scaled to near-unit energy gain."""
 
-    kind = "cdf97"
     integer_only = False
 
     ALPHA = -1.586134342
@@ -112,28 +110,40 @@ class Cdf97:
         return s, d
 
 
+def transform_nets(mode: str, steps: int):
+    """The lifting nets of a CNN mode, in order xf.p1, xf.u1, ..., xf.u{steps}."""
+    if mode not in ("additive", "affine"):
+        raise ValueError(f"unknown CNN lifting mode {mode!r}")
+    return [PUNet(mode, f"xf.{role}{i}") for i in range(1, steps + 1) for role in "pu"]
+
+
+def infer_steps(weights) -> int:
+    """Number of predict/update stages a weight set's lifting nets carry."""
+    steps = 0
+    while f"xf.p{steps + 1}.c1.w" in weights:
+        steps += 1
+    return steps
+
+
 @dataclass
 class CnnLifting:
-    """Learned lifting with N predict/update stages, shared across rows
-    and columns.  Operates on (N, 1, H, W) tensors; the half-resolution
-    even/odd planes feed 2D conv nets directly."""
+    """Learned lifting with one predict/update stage per xf.p{i}/xf.u{i} net
+    pair in `params`, shared across rows and columns.  Operates on
+    (N, 1, H, W) tensors; the half-resolution even/odd planes feed 2D conv
+    nets directly."""
 
-    kind: str  # "additive-cnn" | "affine-cnn"
+    mode: str  # "additive" | "affine"
     params: dict  # name -> Tensor
-    steps: int = 2
     integer_only: bool = False
     _stages: list = field(init=False)
 
     def __post_init__(self):
-        pu_kind = {"additive-cnn": "additive", "affine-cnn": "affine"}.get(self.kind)
-        if pu_kind is None:
-            raise ValueError(f"unknown CNN lifting kind {self.kind!r}")
-        self._stages = [
-            (PUNet(pu_kind, f"xf.p{i}"), PUNet(pu_kind, f"xf.u{i}"))
-            for i in range(1, self.steps + 1)
-        ]
+        nets = transform_nets(self.mode, infer_steps(self.params))
+        if not nets:
+            raise ValueError(f"weights carry no {self.mode} lifting nets")
+        self._stages = list(zip(nets[0::2], nets[1::2]))
 
-    def _lift(self, l, h):
+    def forward_pair(self, l, h):
         for pnet, unet in self._stages:
             shift, sc = pu_forward(pnet, self.params, l)
             h = sub(h, shift) if sc is None else mul(sub(h, shift), sc)
@@ -141,7 +151,7 @@ class CnnLifting:
             l = add(l, shift) if sc is None else mul(add(l, shift), sc)
         return l, h
 
-    def _unlift(self, l, h):
+    def inverse_pair(self, l, h):
         for pnet, unet in reversed(self._stages):
             shift, sc = pu_forward(unet, self.params, h)
             if sc is not None:
@@ -152,27 +162,6 @@ class CnnLifting:
                 h = mul(h, reciprocal(sc))
             h = add(h, shift)
         return l, h
-
-    @staticmethod
-    def _nchw(a):
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim == 1:
-            return Tensor(arr.reshape(1, 1, 1, -1))
-        if arr.ndim == 2:
-            return Tensor(arr.reshape((1, 1) + arr.shape))
-        raise ValueError("CNN lifting expects 1-d signals or 2-d planes")
-
-    def forward_pair(self, x_e, x_o):
-        if isinstance(x_e, Tensor):
-            return self._lift(x_e, x_o)
-        l, h = self._lift(self._nchw(x_e), self._nchw(x_o))
-        return l.data.reshape(np.shape(x_e)), h.data.reshape(np.shape(x_o))
-
-    def inverse_pair(self, l, h):
-        if isinstance(l, Tensor):
-            return self._unlift(l, h)
-        xe, xo = self._unlift(self._nchw(l), self._nchw(h))
-        return xe.data.reshape(np.shape(l)), xo.data.reshape(np.shape(h))
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +315,19 @@ def inverse_pyramid(backend, pyramid: SubbandPyramid):
     return ll
 
 
-def make_backend(mode: str, weights=None, params=None, steps: int = 2):
-    """Backend for a coding mode: lossless -> 5/3, lossy -> learned CNN."""
-    if mode == "lossless":
-        return Cdf53()
-    if mode == "cdf97":
-        return Cdf97()
-    if mode in ("additive", "affine"):
-        if params is None:
-            if weights is None:
-                raise ValueError(f"mode {mode!r} needs weights")
-            params = constant_params(weights)
-        return CnnLifting(f"{mode}-cnn", params, steps=steps)
-    raise ValueError(f"unknown mode {mode!r}")
+def make_backend(mode: str, weights=None, params=None, steps: int | None = None):
+    """Backend for a coding mode: lossless -> 5/3, lossy -> learned CNN.
 
-
-def infer_steps(weights) -> int:
-    """Number of predict/update stages a weight set's lifting nets carry."""
-    steps = 0
-    while f"xf.p{steps + 1}.c1.w" in weights:
-        steps += 1
-    return steps
-
-
-def codec_backend(mode: str, weights):
-    """The backend a stream of `mode` is coded with under `weights`.
-
-    Encoder and decoder both call this, so the lifting step count always
-    comes from the weights and never from a default that could disagree.
+    A CNN backend runs every lifting step its `weights` (or tape `params`)
+    carry; a `steps` that disagrees with them is an error, not an override.
     """
     if mode == "lossless":
         return Cdf53()
-    return make_backend(mode, weights=weights, steps=infer_steps(weights))
+    if params is None:
+        if weights is None:
+            raise ValueError(f"mode {mode!r} needs weights")
+        params = constant_params(weights)
+    backend = CnnLifting(mode, params)
+    if steps is not None and steps != len(backend._stages):
+        raise ValueError(f"weights carry {len(backend._stages)} lifting steps, not {steps}")
+    return backend

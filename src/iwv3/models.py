@@ -13,13 +13,13 @@ import math
 import numpy as np
 
 from .entropy import CTX_CHANNELS, GMM_K, LT_WIDTH, ctx_prefix
-from .gradtape import ModelWeights, PUNet
-from .lifting import infer_steps
+from .gradtape import ModelWeights
+from .lifting import SUBBAND_KINDS, infer_steps, transform_nets
 from .postproc import DequantNet
+from .quant import logq_name
 
 DEFAULT_STEPS = 2
 DEFAULT_DQ = DequantNet()
-SUBBAND_KINDS = ("LL", "HL", "LH", "HH")
 
 # Static mixture used by the built-in lossless model: zero conv weights plus
 # a sigma ladder in the output bias give a heavy-tailed prior over integers.
@@ -45,20 +45,11 @@ def context_weight_shapes(kind: str) -> dict:
     }
 
 
-def transform_nets(kind: str, steps: int = DEFAULT_STEPS):
-    pu_kind = {"additive": "additive", "affine": "affine"}[kind]
-    nets = []
-    for i in range(1, steps + 1):
-        nets.append(PUNet(pu_kind, f"xf.p{i}"))
-        nets.append(PUNet(pu_kind, f"xf.u{i}"))
-    return nets
-
-
 def qstep_weight_shapes(levels: int) -> dict:
-    shapes = {"q.ll.logq": ()}
+    shapes = {logq_name(levels, "LL"): ()}
     for level in range(1, levels + 1):
-        for kind in ("hl", "lh", "hh"):
-            shapes[f"q.l{level}.{kind}.logq"] = ()
+        for kind in SUBBAND_KINDS[1:]:
+            shapes[logq_name(level, kind)] = ()
     return shapes
 
 

@@ -11,10 +11,10 @@ import numpy as np
 
 from . import models
 from .entropy import Bitstream, coding_order, decode_image, encode_image
-from .imageio import ImagePlanes
-from .lifting import codec_backend, forward_pyramid, inverse_pyramid
+from .imageio import ImagePlanes, planes_to_rgb
+from .lifting import forward_pyramid, inverse_pyramid, make_backend
 from .postproc import dequant_filter_plane
-from .quant import QuantGrid, quantize
+from .quant import QuantGrid, dequantize, quantize
 
 
 def build_quantgrid(weights, mode: str, levels: int, qstep_offset: float = 0.0) -> QuantGrid:
@@ -37,7 +37,7 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
         levels = 3
     planes = ImagePlanes.from_rgb(rgb, levels)
     grid = build_quantgrid(weights, mode, levels, qstep_offset)
-    backend = codec_backend(mode, weights)
+    backend = make_backend(mode, weights=weights)
     dtype = np.int32 if backend.integer_only else np.float64
     channel_planes = [p.astype(dtype) for p in planes.planes]
     qpyramids = []
@@ -55,31 +55,21 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
 
 def reconstruct(bs: Bitstream, pyramids, weights) -> np.ndarray:
     """Rebuild the RGB image a decoder would emit for decoded pyramids."""
-    levels = bs.levels
-    order = coding_order(levels)
-    backend = codec_backend(bs.mode, weights)
+    order = coding_order(bs.levels)
+    backend = make_backend(bs.mode, weights=weights)
     qsteps = dict(zip(order, (q for q, _, _ in bs.subband_info)))
+    dq_net = None if bs.mode == "lossless" else models.infer_dq_shape(weights)
     out_planes = []
     for pyr in pyramids:
-        if bs.mode == "lossless":
-            plane = inverse_pyramid(backend, pyr).astype(np.int16)
-        else:
-            deq = pyr.map(lambda g: g.astype(np.float64))
-            for level, kind in order:
-                deq.set(level, kind,
-                        pyr.get(level, kind).astype(np.float64) * qsteps[(level, kind)])
-            plane = inverse_pyramid(backend, deq)
-            dq_net = models.infer_dq_shape(weights)
-            plane = dequant_filter_plane(dq_net, weights, plane)
-            plane = np.rint(plane).astype(np.int32)
-        out_planes.append(plane)
-    y, co, cg = out_planes
-    y = np.clip(y, 0, 255).astype(np.int16)
-    co = np.clip(co, -255, 255).astype(np.int16)
-    cg = np.clip(cg, -255, 255).astype(np.int16)
-    ph, pw = y.shape
-    planes = ImagePlanes(y, co, cg, bs.true_width, bs.true_height, pw, ph)
-    return planes.to_rgb()
+        if dq_net is None:
+            out_planes.append(inverse_pyramid(backend, pyr))
+            continue
+        deq = pyr.map(lambda g: None)
+        for level, kind in order:
+            deq.set(level, kind, dequantize(pyr.get(level, kind), qsteps[(level, kind)]))
+        plane = inverse_pyramid(backend, deq)
+        out_planes.append(dequant_filter_plane(dq_net, weights, plane))
+    return planes_to_rgb(out_planes, bs.true_width, bs.true_height)
 
 
 def decode_bytes(data: bytes, weights) -> np.ndarray:

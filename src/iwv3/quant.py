@@ -76,6 +76,14 @@ def anneal_alpha(step: int, total_steps: int) -> float:
 CHANNELS = (0, 1, 2)
 
 
+def logq_name(level: int, kind: str) -> str:
+    """Weight name of a subband's trained log-step; one LL step, at the
+    coarsest level, and one per (level, kind) of the detail subbands."""
+    if kind == "LL":
+        return "q.ll.logq"
+    return f"q.l{level}.{kind.lower()}.logq"
+
+
 class QuantGrid:
     """Positive quantization step per (channel, level, subband type)."""
 
@@ -101,14 +109,8 @@ class QuantGrid:
     @classmethod
     def from_weights(cls, weights, levels: int) -> "QuantGrid":
         """Channel-uniform grid from trained log-step parameters."""
-        entries = {}
-        for ch in CHANNELS:
-            entries[(ch, levels, "LL")] = math.exp(float(weights.get("q.ll.logq")))
-            for level in range(1, levels + 1):
-                for kind in ("HL", "LH", "HH"):
-                    name = f"q.l{level}.{kind.lower()}.logq"
-                    entries[(ch, level, kind)] = math.exp(float(weights.get(name)))
-        return cls(levels, entries)
+        return cls(levels, {(ch, level, kind): math.exp(float(weights.get(logq_name(level, kind))))
+                            for ch, level, kind in cls._keys(levels)})
 
     def qstep(self, channel: int, level: int, kind: str) -> float:
         return self._entries[(channel, level, kind)]

@@ -26,11 +26,11 @@ class RangeEncoder:
         self._pending = 0
         self._out = bytearray()
 
-    def encode(self, cum: int, freq: int, total: int = TOTAL) -> None:
-        """Encode a symbol spanning [cum, cum + freq) of [0, total)."""
+    def encode(self, cum: int, freq: int) -> None:
+        """Encode a symbol spanning [cum, cum + freq) of [0, TOTAL)."""
         if freq <= 0:
             raise RangeError("zero-probability symbol requested")
-        r = self._range // total
+        r = self._range // TOTAL
         self._low += r * cum
         self._range = r * freq
         while self._range < _TOP:
@@ -72,11 +72,11 @@ class RangeDecoder:
         self._pos += 1
         return byte
 
-    def decode_target(self, total: int = TOTAL) -> int:
-        """Cumulative-frequency target of the next symbol, in [0, total)."""
-        self._r = self._range // total
+    def decode_target(self) -> int:
+        """Cumulative-frequency target of the next symbol, in [0, TOTAL)."""
+        self._r = self._range // TOTAL
         target = self._code // self._r
-        return min(target, total - 1)
+        return min(target, TOTAL - 1)
 
     def consume(self, cum: int, freq: int) -> None:
         """Commit the symbol found at the last decode_target call."""
@@ -87,9 +87,9 @@ class RangeDecoder:
             self._code = (self._code << 8) | self._next_byte()
             self._range = (self._range << 8) & _MASK32
 
-    def decode(self, cum_table, total: int = TOTAL) -> int:
+    def decode(self, cum_table) -> int:
         """Decode against a full cumulative table (cum_table[i+1] > cum_table[i])."""
-        target = self.decode_target(total)
+        target = self.decode_target()
         lo, hi = 0, len(cum_table) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2

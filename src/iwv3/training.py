@@ -31,7 +31,7 @@ from .entropy import (
     gmm_bits,
 )
 from .gradtape import ModelWeights, Tensor
-from .imageio import ImagePlanes
+from .imageio import ImagePlanes, planes_to_rgb
 from .lifting import Cdf97, forward_pyramid, inverse_pyramid, make_backend
 from .postproc import DequantNet, dequant_filter
 from .quant import (
@@ -39,6 +39,8 @@ from .quant import (
     ALPHA_MIN,
     QuantGrid,
     anneal_alpha,
+    dequantize,
+    logq_name,
     quantize,
     soft_to_hard_quant,
 )
@@ -232,7 +234,7 @@ def _hard_quantizer(grid: QuantGrid):
     def quantizer(level, kind, coeffs):
         q = grid.qstep(0, level, kind)
         values = quantize(coeffs, q)
-        return values, values.astype(np.float64) * q
+        return values, dequantize(values, q)
     return quantizer
 
 
@@ -287,13 +289,14 @@ def pretrain_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
     The rate term only reaches the context nets and the distortion (MSE)
     only reaches the dequant net; everything else stays untouched.
     """
+    levels, _, dq_net = models.validate_weights(weights, cfg.mode)
     backend = Cdf97()
     tape = gt.Tape()
     params = tape.params(weights)
     bits, refined = rd_graph(
-        backend, forward_pyramid(backend, batch, cfg.levels),
-        _hard_quantizer(QuantGrid.uniform(cfg.levels, cfg.pretrain_qstep)),
-        partial(rate_bits_tensor, params), params, cfg.dq_net())
+        backend, forward_pyramid(backend, batch, levels),
+        _hard_quantizer(QuantGrid.uniform(levels, cfg.pretrain_qstep)),
+        partial(rate_bits_tensor, params), params, dq_net)
     bpp = gt.scale(bits, 1.0 / batch.size)
     diff = gt.sub(refined, _const(batch))
     mse = gt.tmean(gt.mul(diff, diff))
@@ -315,21 +318,21 @@ def soft_rd_graph(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
     """
     if not (ALPHA_MIN <= alpha <= ALPHA_MAX):
         raise ValueError(f"alpha {alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
+    levels, _, dq_net = models.validate_weights(weights, cfg.mode)
     tape = gt.Tape()
     params = tape.params(weights)
-    backend = make_backend(cfg.mode, params=params, steps=cfg.steps)
+    backend = make_backend(cfg.mode, params=params)
 
     def quantizer(level, kind, coeffs):
-        logq = params[_logq_name(level, kind, cfg.levels)]
+        logq = params[logq_name(level, kind)]
         inv_q = gt.exp(gt.scale(logq, -1.0))
         q = gt.exp(logq)
         y = gt.smul(coeffs, inv_q)
         v = soft_to_hard_quant(y, alpha, rng.uniform(-0.5, 0.5, size=y.data.shape))
         return v, gt.smul(v, q)
 
-    bits, refined = rd_graph(backend, forward_pyramid(backend, _const(batch), cfg.levels),
-                             quantizer, partial(rate_bits_tensor, params), params,
-                             cfg.dq_net())
+    bits, refined = rd_graph(backend, forward_pyramid(backend, _const(batch), levels),
+                             quantizer, partial(rate_bits_tensor, params), params, dq_net)
     total, report = _rd_loss(bits, refined, batch, cfg.lam)
     return tape, total, report
 
@@ -347,25 +350,20 @@ def e2e_soft_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
 def hard_finetune_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
                        opt: SgdMomentum, rng: np.random.Generator) -> LossReport:
     """Stage 3: hard rounding with a random step offset; transform frozen."""
+    levels, _, dq_net = models.validate_weights(weights, cfg.mode)
     offset = float(rng.uniform(-cfg.qstep_offset_range, cfg.qstep_offset_range))
-    grid = QuantGrid.from_weights(weights, cfg.levels).scaled(offset)
-    backend = make_backend(cfg.mode, weights=weights, steps=cfg.steps)
+    grid = QuantGrid.from_weights(weights, levels).scaled(offset)
+    backend = make_backend(cfg.mode, weights=weights)
     tape = gt.Tape()
     params = tape.params(weights)
-    bits, refined = rd_graph(backend, forward_pyramid(backend, batch, cfg.levels),
+    bits, refined = rd_graph(backend, forward_pyramid(backend, batch, levels),
                              _hard_quantizer(grid), partial(rate_bits_tensor, params),
-                             params, cfg.dq_net())
+                             params, dq_net)
     total, report = _rd_loss(bits, refined, batch, cfg.lam)
     _check_finite(report, "stage 3")
     grads = tape.backward(total)
     opt.step(weights, grads, cfg.lr3, _trainable_names(weights, 3))
     return report
-
-
-def _logq_name(level: int, kind: str, levels: int) -> str:
-    if kind == "LL":
-        return "q.ll.logq"
-    return f"q.l{level}.{kind.lower()}.logq"
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +452,11 @@ def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig,
     The rate is the coder's own model cross-entropy (`gmm_bits`, tails
     absorbed at each subband's value range), not the training surrogate.
     """
-    backend = make_backend(cfg.mode, weights=weights, steps=cfg.steps)
+    levels, _, dq_net = models.validate_weights(weights, cfg.mode)
+    backend = make_backend(cfg.mode, weights=weights)
     params = gt.constant_params(weights)
     quantizer = _hard_quantizer(
-        QuantGrid.from_weights(weights, cfg.levels).scaled(qstep_offset))
+        QuantGrid.from_weights(weights, levels).scaled(qstep_offset))
 
     def model_bits(kind, s_t, l_t, v):
         raw = context_forward(params, s_t, l_t, kind).data[0]
@@ -469,8 +468,8 @@ def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig,
     n_pix = 0
     for plane in planes:
         plane = np.asarray(plane, dtype=np.float64)
-        pyr = forward_pyramid(backend, plane[None, None], cfg.levels)
-        bits, refined = rd_graph(backend, pyr, quantizer, model_bits, params, cfg.dq_net())
+        pyr = forward_pyramid(backend, plane[None, None], levels)
+        bits, refined = rd_graph(backend, pyr, quantizer, model_bits, params, dq_net)
         total_bits += bits
         sq_err += float(np.sum((refined.data[0, 0] - plane) ** 2))
         n_pix += plane.size
@@ -502,12 +501,12 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
     measured RD loss (distortion always against the original).
     """
     mode = models.infer_transform_kind(weights)
-    levels, steps, dq_net = models.validate_weights(weights, mode)
+    levels, _, dq_net = models.validate_weights(weights, mode)
     grid = pipeline.build_quantgrid(weights, mode, levels)
     planes0 = ImagePlanes.from_rgb(rgb, levels)
     cur = [np.asarray(p, dtype=np.float64) for p in planes0.planes]
     const_params = gt.constant_params(weights)
-    backend = make_backend(mode, params=const_params, steps=steps)
+    backend = make_backend(mode, params=const_params)
     rate = partial(rate_bits_tensor, const_params)
 
     def quantizer(level, kind, coeffs):
@@ -530,12 +529,7 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
             tape.backward(total)
             cur[ch] = cur[ch] - lr * x.grad[0, 0]
 
-    y = np.clip(np.rint(cur[0]), 0, 255).astype(np.int16)
-    co = np.clip(np.rint(cur[1]), -255, 255).astype(np.int16)
-    cg = np.clip(np.rint(cur[2]), -255, 255).astype(np.int16)
-    opt_planes = ImagePlanes(y, co, cg, planes0.true_width, planes0.true_height,
-                             planes0.padded_width, planes0.padded_height)
-    candidate = opt_planes.to_rgb()
+    candidate = planes_to_rgb(cur, planes0.true_width, planes0.true_height)
 
     before = measure_rd(rgb, rgb, weights, mode, lam)
     if iters == 0 or lr == 0.0 or np.array_equal(candidate, rgb):

@@ -33,7 +33,7 @@ def cnn_backend(kind, seed, scale=0.05, steps=2):
         if name.startswith("xf."):
             arr = weights.get(name)
             weights.set(name, arr + rng.normal(0, scale, arr.shape))
-    return make_backend(kind, weights=weights, steps=steps)
+    return make_backend(kind, weights=weights)
 
 
 class TestSplit:
@@ -96,8 +96,9 @@ class TestCdf53:
             assert np.array_equal(out, signal)
 
     def test_zero_signal_all_backends(self):
+        # the CNN backend's zero case is in TestPyramid, on planes
         zeros = np.zeros(16, dtype=np.int32)
-        for backend in (Cdf53(), Cdf97(), cnn_backend("additive", 1)):
+        for backend in (Cdf53(), Cdf97()):
             sig = zeros if backend.integer_only else zeros.astype(np.float64)
             out = round_trip_1d(backend, sig)
             assert np.allclose(out, 0)
@@ -150,20 +151,22 @@ class TestCnnLifting:
             if name.startswith("xf."):
                 weights.set(name, np.zeros_like(weights.get(name)))
         backend = make_backend("affine", weights=weights)
-        sig = RNG.normal(0, 10, 16)
-        x_e, x_o = split(sig)
-        l, h = backend.forward_pair(x_e, x_o)
-        assert np.allclose(l, x_e)
-        assert np.allclose(h, x_o)
+        plane = RNG.normal(0, 10, (8, 12))
+        ll, hl, lh, hh = transform2d_level(backend, plane)
+        assert np.allclose(ll, plane[0::2, 0::2])
+        assert np.allclose(hl, plane[0::2, 1::2])
+        assert np.allclose(lh, plane[1::2, 0::2])
+        assert np.allclose(hh, plane[1::2, 1::2])
 
     @pytest.mark.parametrize("kind", ["additive", "affine"])
-    def test_1d_round_trip(self, kind):
+    def test_plane_round_trip(self, kind):
         backend = cnn_backend(kind, 3)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            sig = rng.uniform(-1000, 1000, 2 * int(rng.integers(2, 40)))
-            out = round_trip_1d(backend, sig)
-            assert np.abs(out - sig).max() < 1e-4
+            h, w = (2 * int(n) for n in rng.integers(1, 20, size=2))
+            plane = rng.uniform(-1000, 1000, (h, w))
+            out = inverse2d_level(backend, *transform2d_level(backend, plane))
+            assert np.abs(out - plane).max() < 1e-4
 
     @pytest.mark.parametrize("kind", ["additive", "affine"])
     def test_random_weight_plane_inversion(self, kind):
@@ -178,6 +181,11 @@ class TestCnnLifting:
             pyr = forward_pyramid(backend, plane, 2)
             rec = inverse_pyramid(backend, pyr)
             assert np.abs(rec - plane).max() < 1e-4
+
+    def test_step_count_disagreeing_with_weights_rejected(self):
+        weights = models.init_weights("additive", 2, seed=0, steps=3)
+        with pytest.raises(ValueError, match="steps"):
+            make_backend("additive", weights=weights, steps=2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

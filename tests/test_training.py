@@ -3,6 +3,7 @@ import pytest
 
 from iwv3 import models, training
 from iwv3.gradtape import save_weights
+from iwv3.imageio import ImagePlanes
 from iwv3.quant import ALPHA_MAX, ALPHA_MIN
 from iwv3.training import (
     LossReport,
@@ -10,6 +11,7 @@ from iwv3.training import (
     TrainConfig,
     TrainingError,
     e2e_soft_step,
+    eval_rd,
     hard_finetune_step,
     loss_rd,
     online_optimize,
@@ -189,6 +191,40 @@ class TestSoftRdGraph:
 
         assert report(9) == report(9)
         assert report(9) != report(10)
+
+
+class TestGeometryFromWeights:
+    """Levels, lifting steps and the filter shape come from the weights;
+    TrainConfig fields that disagree with them change nothing."""
+
+    @staticmethod
+    def _planes():
+        rgb = natural_photo(32, 32, 1)
+        return [np.asarray(p, dtype=np.float64)
+                for p in ImagePlanes.from_rgb(rgb, 2).planes]
+
+    @pytest.mark.parametrize("steps, mismatched", [
+        (3, {}),
+        (2, {"levels": 1}),
+        (2, {"dq_groups": 1}),
+        (2, {"dq_blocks": 1}),
+    ], ids=["steps", "levels", "dq_groups", "dq_blocks"])
+    def test_eval_rd_ignores_config_geometry(self, steps, mismatched):
+        weights = perturbed_lossy_weights("additive", 2, seed=5, steps=steps)
+        planes = self._planes()
+        expect = eval_rd(weights, planes, TrainConfig(steps=steps))
+        assert eval_rd(weights, planes, TrainConfig(**mismatched)) == expect
+
+    def test_hard_finetune_step_runs_every_lifting_step(self):
+        weights = perturbed_lossy_weights("additive", 2, seed=5, steps=3)
+        batch = small_batch(small_cfg())
+        results = []
+        for cfg in (small_cfg(), small_cfg(steps=3)):
+            w = weights.copy()
+            report = hard_finetune_step(batch, w, cfg, SgdMomentum(),
+                                        np.random.default_rng(4))
+            results.append((report, save_weights(w)))
+        assert results[0] == results[1]
 
 
 class TestEndToEndGradient:
