@@ -1,12 +1,16 @@
 """Autoregressive entropy coding of quantized subbands.
 
 Subbands are coded coarsest-first (LL_L, then HL/LH/HH per level walking
-down), raster order inside each subband.  A two-branch context net turns the
-causal part of the current subband (S_t, masked convolutions) and a stack of
-previously coded grids (L_t) into per-coefficient Gaussian-mixture
-parameters; the mixture mass on [v-1/2, v+1/2] drives a byte-wise range
-coder.  The decoder regenerates contexts from its own output, so both sides
-run the identical incremental arithmetic and stay symbol-exact.
+down).  A two-branch context net turns the causal part of the current
+subband (S_t, masked convolutions) and a stack of previously coded grids
+(L_t) into per-coefficient Gaussian-mixture parameters; the mixture mass on
+[v-1/2, v+1/2] drives a byte-wise range coder.  Inside a subband the
+coefficients go in wavefront order: anti-diagonals x + 2i = t for
+t = 0, 1, ..., rows increasing along each one.  The masked taps of (i, x)
+reach only (i, x-1) and (i-1, x-1..x+1), all on earlier wavefronts, so one
+wavefront is one batch of the context net.  The decoder regenerates
+contexts from its own output, so both sides run the identical per-wavefront
+arithmetic and stay symbol-exact.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +39,15 @@ SIGMA_FLOOR = 1e-6
 # context-net inputs are scaled down so activations stay O(1).
 CTX_INPUT_SCALE = 1.0 / 256.0
 MAGIC = b"IWV3"
-STREAM_VERSION = 1
+STREAM_VERSION = 2
+# Largest padded plane (width x height, each rounded up to a multiple of
+# 2^levels) a stream may declare; checked before anything is allocated.
+MAX_PIXELS = 1 << 24
+# Boundaries the decoder evaluates per round of its search: alphabets up to
+# this size get their whole table in the first round.
+SEARCH_FANOUT = 64
 MODE_CODES = {"lossless": 0, "additive": 1, "affine": 2}
 MODE_NAMES = {v: k for k, v in MODE_CODES.items()}
-
-_SQRT1_2 = math.sqrt(0.5)
 
 
 class StreamError(ValueError):
@@ -69,7 +78,7 @@ def ctx_prefix(kind: str) -> str:
 
 
 def mask_a() -> np.ndarray:
-    """3x3 raster-causal mask excluding the center tap."""
+    """3x3 causal mask: the row above and the left tap, no center."""
     m = np.zeros((3, 3))
     m[0, :] = 1.0
     m[1, 0] = 1.0
@@ -77,7 +86,7 @@ def mask_a() -> np.ndarray:
 
 
 def mask_b() -> np.ndarray:
-    """3x3 raster-causal mask including the center tap."""
+    """3x3 causal mask including the center tap."""
     m = mask_a()
     m[1, 1] = 1.0
     return m
@@ -205,41 +214,59 @@ class LongTermContext:
 # Quantized CDF: 16-bit cumulative table with one guaranteed tick per symbol
 # ---------------------------------------------------------------------------
 
-def _scalar_mix_cdf(w, u, sigma, x: float) -> float:
-    acc = 0.0
-    for k in range(GMM_K):
-        acc += w[k] * 0.5 * math.erfc((u[k] - x) / sigma[k] * _SQRT1_2)
-    return acc
+def quantized_cdf(w, u, sigma, k, vmin: int, alphabet: int) -> np.ndarray:
+    """Cumulative frequencies Q(k) of the symbols below boundary index k.
+
+    `w`, `u` and `sigma` are (n, K) mixture parameters, K = 3; `k` is an
+    (n, m) or (1, m) integer array of boundary indices in [0, alphabet].
+    Returns (n, m) values: Q(0) = 0,
+    Q(alphabet) = TOTAL and, in between,
+    Q(k) = floor(F(vmin - 1/2 + k) * (TOTAL - alphabet)) + k,
+    so Q is strictly increasing and every symbol keeps at least one tick.
+    Every entry comes from elementwise operations, the K mixture terms summed
+    in a fixed order, so it has the same bits in whatever batch it is
+    evaluated: the encoder's two boundaries per symbol agree exactly with the
+    decoder's search tables.
+    """
+    x = (k + (vmin - 0.5))[:, None, :]
+    t = np_ndtr((x - u[:, :, None]) / sigma[:, :, None]) * w[:, :, None]
+    f = t[:, 0] + t[:, 1] + t[:, 2]
+    q = (f * (TOTAL - alphabet)).astype(np.int64) + k  # f >= 0: truncation floors
+    return np.where(k <= 0, 0, np.where(k >= alphabet, TOTAL, q))
 
 
-class _LazyCum:
-    """Boundary-on-demand quantized CDF (plain floats for scan-loop speed)."""
-
-    __slots__ = ("w", "u", "sigma", "vmin", "a", "scale")
-
-    def __init__(self, w, u, sigma, vmin, vmax):
-        self.w = (float(w[0]), float(w[1]), float(w[2]))
-        self.u = (float(u[0]), float(u[1]), float(u[2]))
-        self.sigma = (float(sigma[0]), float(sigma[1]), float(sigma[2]))
-        self.vmin = vmin
-        self.a = vmax - vmin + 1
-        self.scale = TOTAL - self.a
-
-    def __call__(self, k: int) -> int:
-        if k <= 0:
-            return 0
-        if k >= self.a:
-            return TOTAL
-        f = _scalar_mix_cdf(self.w, self.u, self.sigma, self.vmin - 0.5 + k)
-        return int(math.floor(f * self.scale)) + k
+def _search_points(klo: int, khi: int) -> list:
+    """Boundary indices strictly inside (klo, khi) that one round of the
+    decoder's search evaluates: all of them, or SEARCH_FANOUT - 1 evenly
+    spaced ones."""
+    span = khi - klo
+    if span <= SEARCH_FANOUT:
+        return list(range(klo + 1, khi))
+    return [klo + j * span // SEARCH_FANOUT for j in range(1, SEARCH_FANOUT)]
 
 
 # ---------------------------------------------------------------------------
-# Incremental subband codec (shared by encoder and decoder)
+# Wavefront subband codec (shared by encoder and decoder)
 # ---------------------------------------------------------------------------
+
+# Wavefront slots of the rolling buffers: wavefront t reads t-1, t-2 and
+# t-3 and writes t, each in slot t mod _SLOTS.
+_SLOTS = 4
+# The causal 3x3 taps as (part, age, ky, kx): (i-1, x-1), (i-1, x),
+# (i-1, x+1), (i, x-1) and the center lie on wavefronts t - age, in the
+# buffer part for the row above (0) or the same row (1).
+_TAPS = ((0, 3, 0, 0), (0, 2, 0, 1), (0, 1, 0, 2), (1, 1, 1, 0), (1, 0, 1, 1))
+# Boundary offsets of a symbol's [Q(k), Q(k + 1)) interval.
+_PAIR = np.array([0, 1])
+
 
 def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
-    """Plain float64 context-net arrays for one subband type, masks applied."""
+    """Plain float64 context-net arrays for one subband type, masks applied.
+
+    "s1.taps" and "s2.taps" hold the masked S_t layers in SubbandCodec's
+    rolling-buffer order, one matrix per slot t mod _SLOTS: rows indexed by
+    (part, wavefront slot, input channel), then the bias row.
+    """
     p = ctx_prefix(kind)
     cw = {}
     for part in ("s1", "s2", "l1", "l2", "h1", "h2"):
@@ -247,16 +274,43 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
         cw[f"{part}.b"] = np.ascontiguousarray(weights.get(f"{p}.{part}.b"))
     cw["s1.w"] = cw["s1.w"] * mask_a()
     cw["s2.w"] = cw["s2.w"] * mask_b()
+    c = CTX_CHANNELS
+    taps1 = np.zeros((_SLOTS, 2, _SLOTS, c))
+    taps2 = np.zeros((_SLOTS, 2, _SLOTS, c, c))
+    for slot in range(_SLOTS):
+        for part, age, ky, kx in _TAPS:
+            tap = (slot, part, (slot - age) % _SLOTS)
+            taps1[tap] = cw["s1.w"][:, 0, ky, kx]
+            taps2[tap] = cw["s2.w"][:, :, ky, kx].T
+    bias1 = np.broadcast_to(cw["s1.b"], (_SLOTS, 1, c))
+    bias2 = np.broadcast_to(cw["s2.b"], (_SLOTS, 1, c))
+    cw["s1.taps"] = np.concatenate([taps1.reshape(_SLOTS, -1, c), bias1], axis=1)
+    cw["s2.taps"] = np.concatenate([taps2.reshape(_SLOTS, -1, c), bias2], axis=1)
     return cw
 
 
 class SubbandCodec:
-    """Row-incremental evaluation of the context net plus range coding.
+    """Wavefront-parallel evaluation of the context net plus range coding.
 
-    The encoder and decoder both run `run`, so every float operation happens
-    in the same order on both sides; that is what guarantees symbol-exact
-    synchronization.  Contributions from fully known rows are vectorized per
-    row; only the dependence on the current row's left neighbor is scalar.
+    Coefficient (i, x) lies on wavefront t = x + 2i.  Its masked taps read
+    s (the scaled decoded values) and f1 (the first S_t layer) at
+    (i-1, x-1), (i-1, x), (i-1, x+1) and (i, x-1), on wavefronts t-3, t-2,
+    t-1 and t-1, so each wavefront is one batch: one matrix product per
+    layer for all of its positions.  Only the range-coder calls, and the
+    refinement rounds of the decoder's search, are per symbol.
+
+    s and f1 live in rolling buffers indexed by row.  Buffer row r holds,
+    for each wavefront slot, the value of row r-1 (part 0) and of row r
+    (part 1) on that wavefront, zero where the position lies outside the
+    subband, and a constant 1 that carries the layer bias.  A wavefront's
+    rows are consecutive, so all its taps are the one basic slice
+    buf[lo:hi+1]; the slot rotation is folded into the tap weights, one
+    matrix per t mod _SLOTS.
+
+    The encoder and decoder both run `run` with the same per-wavefront
+    shapes, so every float operation of the context net happens in the same
+    order on both sides; that is what guarantees symbol-exact
+    synchronization.
     """
 
     def __init__(self, cw: dict, l_t: np.ndarray, qstep: float,
@@ -269,48 +323,21 @@ class SubbandCodec:
             raise StreamError(f"coefficient range too wide ({self.alphabet})")
         self.model_bits = 0.0
 
-        w1 = cw["s1.w"]  # (C,1,3,3) masked
-        self._b1 = cw["s1.b"]
-        self._w1_row = np.ascontiguousarray(w1[:, 0, 0, :])  # (C,3) taps above
-        self._w1_left = np.ascontiguousarray(w1[:, 0, 1, 0])  # (C,) left tap
-        w2 = cw["s2.w"]  # (C,C,3,3) masked
-        self._b2 = cw["s2.b"]
-        self._w2_row = np.ascontiguousarray(w2[:, :, 0, :])  # (C,C,3)
-        self._w2_left = np.ascontiguousarray(w2[:, :, 1, 0])  # (C,C)
-        self._w2_center = np.ascontiguousarray(w2[:, :, 1, 1])  # (C,C)
-
+        self._w1, self._w2 = cw["s1.taps"], cw["s2.taps"]
+        c = CTX_CHANNELS
         # L_t branch and its 1x1 head slice are position-independent: fold
         # them into a per-position bias for the fused head.
         g = np.maximum(gt._conv2d_raw(l_t[None].astype(np.float64) * CTX_INPUT_SCALE,
                                       cw["l1.w"], cw["l1.b"]), 0.0)
         g = np.maximum(gt._conv2d_raw(g, cw["l2.w"], cw["l2.b"]), 0.0)[0]
         h1 = cw["h1.w"][:, :, 0, 0]  # (C, 2C)
-        self._h1_s = np.ascontiguousarray(h1[:, :CTX_CHANNELS])
-        h1_g = h1[:, CTX_CHANNELS:]
-        head_bias = (np.tensordot(h1_g, g, axes=([1], [0]))
+        self._h1_s = np.ascontiguousarray(h1[:, :c].T)
+        head_bias = (np.tensordot(h1[:, c:], g, axes=([1], [0]))
                      + cw["h1.b"][:, None, None])
-        # (H, W, C) layout: the scan reads one contiguous vector per pixel
-        self._head_bias = np.ascontiguousarray(np.moveaxis(head_bias, 0, -1))
-        self._h2 = np.ascontiguousarray(cw["h2.w"][:, :, 0, 0])  # (3K, C)
+        # (H*W, C): the positions of a wavefront are one strided basic slice
+        self._head_bias = np.ascontiguousarray(np.moveaxis(head_bias, 0, -1)).reshape(-1, c)
+        self._h2 = np.ascontiguousarray(cw["h2.w"][:, :, 0, 0].T)  # (C, 3K)
         self._b_h2 = cw["h2.b"]
-
-    def _row_bases(self, s_prev, f1_prev):
-        """Per-pixel (W, C) bias rows from the fully known previous row."""
-        w = self.w
-        pad = np.zeros(w + 2)
-        pad[1 : w + 1] = s_prev
-        base1 = (self._b1[None, :]
-                 + pad[0:w, None] * self._w1_row[None, :, 0]
-                 + pad[1 : w + 1, None] * self._w1_row[None, :, 1]
-                 + pad[2 : w + 2, None] * self._w1_row[None, :, 2])
-        fpad = np.zeros((CTX_CHANNELS, w + 2))
-        fpad[:, 1 : w + 1] = f1_prev
-        base2 = self._b2[:, None] + (
-            self._w2_row[:, :, 0] @ fpad[:, 0:w]
-            + self._w2_row[:, :, 1] @ fpad[:, 1 : w + 1]
-            + self._w2_row[:, :, 2] @ fpad[:, 2 : w + 2]
-        )
-        return base1, np.ascontiguousarray(base2.T)
 
     def run(self, rc, values: np.ndarray | None = None) -> np.ndarray:
         """Encode `values` through rc, or decode from rc when values is None."""
@@ -323,59 +350,90 @@ class SubbandCodec:
                 out[:] = self.vmin
             return out
 
-        s_in = np.zeros((h, w))  # scaled dequantized decoded-so-far values
-        f1_prev = np.zeros((CTX_CHANNELS, w))
-        f1_cur = np.zeros((CTX_CHANNELS, w))
-        zeros_c = np.zeros(CTX_CHANNELS)
+        vmin, alphabet = self.vmin, self.alphabet
+        flat = np.ascontiguousarray(out).reshape(-1)
+        c = CTX_CHANNELS
+        s_buf = np.zeros((h + 1, 2 * _SLOTS + 1))
+        f_buf = np.zeros((h + 1, 2 * _SLOTS * c + 1))
+        s_buf[:, -1] = f_buf[:, -1] = 1.0
+        s_parts = s_buf[:, :-1].reshape(h + 1, 2, _SLOTS)
+        f_parts = f_buf[:, :-1].reshape(h + 1, 2, _SLOTS, c)
+        written = [(0, 0)] * _SLOTS  # buffer rows each slot holds values in
+        s_scale = self.qstep * CTX_INPUT_SCALE
         log2_total = math.log2(TOTAL)
-        for i in range(h):
-            base1, base2 = self._row_bases(
-                s_in[i - 1] if i > 0 else np.zeros(w), f1_prev
-            )
-            head_row = self._head_bias[i]
-            f1_left = zeros_c
-            s_left = 0.0
-            for x in range(w):
-                f1 = np.maximum(base1[x] + self._w1_left * s_left, 0.0)
-                f2 = np.maximum(
-                    base2[x] + self._w2_left @ f1_left + self._w2_center @ f1,
-                    0.0,
-                )
-                p1 = np.maximum(self._h1_s @ f2 + head_row[x], 0.0)
-                raw = self._h2 @ p1 + self._b_h2
-                rw, ru, rs = raw[:GMM_K], raw[GMM_K : 2 * GMM_K], raw[2 * GMM_K :]
-                e = np.exp(rw - rw.max())
-                mw = e / e.sum()
-                with np.errstate(over="ignore"):
-                    sigma = np.maximum(np.exp(rs), SIGMA_FLOOR)
+        bits = 0.0
+        first_pts = _search_points(0, alphabet)
+        first_k = np.array(first_pts)[None, :]
+        with np.errstate(over="ignore"):
+            for t in range(w + 2 * h - 2):
+                slot = t % _SLOTS
+                r0, r1 = written[slot]
+                s_parts[r0:r1, :, slot] = 0.0
+                f_parts[r0:r1, :, slot] = 0.0
+                written[slot] = (0, 0)
+                lo, hi = max(0, (t - w + 2) // 2), min(h - 1, t // 2)
+                n = hi - lo + 1
+                if n <= 0:  # odd wavefronts of a one-column subband
+                    continue
+                # positions (i, t - 2i) sit w - 2 apart in the flat grid; a
+                # wavefront of two or more positions implies w >= 3
+                start = t + lo * (w - 2)
+                diag = slice(start, start + (n - 1) * (w - 2) + 1, w - 2 if n > 1 else 1)
 
-                # boundary-on-demand CDF: the encoder touches two entries,
-                # the decoder O(log alphabet) during its bisection
-                qcum = _LazyCum(mw, ru, sigma, self.vmin, self.vmax)
+                f1 = np.maximum(s_buf[lo:hi + 1] @ self._w1[slot], 0.0)
+                f_parts[lo:hi + 1, 1, slot] = f1
+                f_parts[lo + 1:hi + 2, 0, slot] = f1
+                f2 = np.maximum(f_buf[lo:hi + 1] @ self._w2[slot], 0.0)
+                p1 = f2 @ self._h1_s
+                p1 += self._head_bias[diag]
+                np.maximum(p1, 0.0, out=p1)
+                raw = p1 @ self._h2
+                raw += self._b_h2
+                rw = raw[:, :GMM_K]
+                rw -= rw.max(axis=1, keepdims=True)
+                ex = np.exp(raw)
+                e = ex[:, :GMM_K]
+                mw = e / e.sum(axis=1, keepdims=True)
+                u = raw[:, GMM_K : 2 * GMM_K]
+                sigma = np.maximum(ex[:, 2 * GMM_K :], SIGMA_FLOOR)
+
                 if encode:
-                    k = int(out[i, x]) - self.vmin
-                    lo, hi = qcum(k), qcum(k + 1)
-                    rc.encode(lo, hi - lo)
+                    v = flat[diag]
+                    q = quantized_cdf(mw, u, sigma, (v - vmin)[:, None] + _PAIR,
+                                      vmin, alphabet)
+                    for qlo, qhi in q.tolist():
+                        rc.encode(qlo, qhi - qlo)
+                        bits += log2_total - math.log2(qhi - qlo)
                 else:
-                    target = rc.decode_target()
-                    klo, khi = 0, self.alphabet
-                    while khi - klo > 1:
-                        mid = (klo + khi) // 2
-                        if qcum(mid) <= target:
-                            klo = mid
-                        else:
-                            khi = mid
-                    k = klo
-                    lo, hi = qcum(k), qcum(k + 1)
-                    rc.consume(lo, hi - lo)
-                    out[i, x] = k + self.vmin
-                self.model_bits += log2_total - math.log2(hi - lo)
+                    table = quantized_cdf(mw, u, sigma, first_k, vmin, alphabet).tolist()
+                    ks = []
+                    for j in range(n):
+                        # fixed-fanout search keeping Q(klo) <= target < Q(khi)
+                        target = rc.decode_target()
+                        klo, khi, qlo, qhi = 0, alphabet, 0, TOTAL
+                        pts, qs = first_pts, table[j]
+                        while True:
+                            m = bisect_right(qs, target)
+                            if m:
+                                klo, qlo = pts[m - 1], qs[m - 1]
+                            if m < len(qs):
+                                khi, qhi = pts[m], qs[m]
+                            if khi - klo == 1:
+                                break
+                            pts = _search_points(klo, khi)
+                            qs = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
+                                               np.array(pts)[None, :], vmin, alphabet)[0].tolist()
+                        rc.consume(qlo, qhi - qlo)
+                        bits += log2_total - math.log2(qhi - qlo)
+                        ks.append(klo)
+                    v = np.array(ks) + vmin
+                    flat[diag] = v
 
-                s_left = (k + self.vmin) * self.qstep * CTX_INPUT_SCALE
-                s_in[i, x] = s_left
-                f1_cur[:, x] = f1
-                f1_left = f1
-            f1_prev, f1_cur = f1_cur, f1_prev
+                s = v * s_scale
+                s_parts[lo:hi + 1, 1, slot] = s
+                s_parts[lo + 1:hi + 2, 0, slot] = s
+                written[slot] = (lo, hi + 2)
+        self.model_bits += bits
         return out
 
 
@@ -397,6 +455,19 @@ def decode_subband(payload, cw, l_t, qstep, vmin, vmax, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bitstream container
 # ---------------------------------------------------------------------------
+
+def padded_geometry(levels: int, width: int, height: int):
+    """(height, width) of every plane once padded to multiples of 2^levels.
+
+    A padded plane of more than MAX_PIXELS is refused with ValueError, so
+    the level count is bounded too: each padded side is at least 2^levels.
+    """
+    ph, pw = padded_size(height, levels), padded_size(width, levels)
+    if ph * pw > MAX_PIXELS:
+        raise ValueError(f"{width}x{height} at {levels} levels pads to {pw}x{ph}, "
+                         f"over the {MAX_PIXELS}-pixel cap")
+    return ph, pw
+
 
 _HEADER = struct.Struct("<4sBBBIIQ")
 _SUBBAND = struct.Struct("<fii")
@@ -447,6 +518,10 @@ class Bitstream:
             raise StreamError(f"unknown mode code {mode_code}")
         if levels < 1 or tw < 1 or th < 1:
             raise StreamError("corrupt geometry")
+        try:
+            padded_geometry(levels, tw, th)
+        except ValueError as err:
+            raise StreamError(str(err)) from err
         pos = _HEADER.size
         n_subbands = 3 * levels + 1
         info = []
@@ -501,8 +576,7 @@ def code_channel(rc, bs: Bitstream, ctx_arrays, backend, pyramid=None):
     pyramid and the model bits of each subband.
     """
     levels = bs.levels
-    pw = padded_size(bs.true_width, levels)
-    ph = padded_size(bs.true_height, levels)
+    ph, pw = padded_geometry(levels, bs.true_width, bs.true_height)
     ltc = LongTermContext(backend, levels)
     out = SubbandPyramid(levels, None, [(None, None, None)] * levels)
     bits = []

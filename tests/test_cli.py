@@ -1,11 +1,14 @@
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from iwv3 import models
 from iwv3.cli import main
-from iwv3.entropy import coding_order
+from iwv3.entropy import Bitstream, coding_order
 from iwv3.gradtape import save_weights
 from iwv3.imageio import read_ppm, write_ppm
 
@@ -127,6 +130,7 @@ class TestInspect:
         lines = [l for l in capsys.readouterr().out.splitlines() if "=" in l]
         levels = 3
         assert lines[0] == "magic=IWV3"
+        assert lines[1] == "version=2"
         assert len(lines) == 7 + 3 * (3 * levels + 1)
 
     def test_trailing_byte_exit_5(self, workdir, capsys):
@@ -137,6 +141,40 @@ class TestInspect:
         stream.write_bytes(stream.read_bytes() + b"\0")
         assert main(["inspect", str(stream)]) == 5
         assert "trailing" in capsys.readouterr().err
+
+    def test_version_1_stream_exit_5(self, workdir, capsys):
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(9, 9, 11))
+        stream = workdir / "s.iwv3"
+        assert main(["encode", str(src), str(stream)]) == 0
+        data = bytearray(stream.read_bytes())
+        data[4] = 1  # the version byte follows the magic
+        stream.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["decode", str(stream), str(workdir / "b.ppm")]) == 5
+        assert "unsupported stream version 1" in capsys.readouterr().err
+
+    def test_forged_huge_geometry_exit_5_in_bounded_memory(self, workdir, capsys):
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(16, 16, 12))
+        stream = workdir / "s.iwv3"
+        assert main(["encode", str(src), str(stream)]) == 0
+        bs = Bitstream.unpack(stream.read_bytes())
+        bs.true_width = bs.true_height = 60000
+        stream.write_bytes(bs.pack())
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwv3.cli", "decode", str(stream),
+             str(workdir / "b.ppm")],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=limit_address_space)
+        assert proc.returncode == 5, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cap" in proc.stderr
 
     def test_corrupt_magic_exit_5(self, workdir, capsys):
         bad = workdir / "bad.iwv3"

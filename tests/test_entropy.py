@@ -5,6 +5,7 @@ from scipy.special import ndtr
 from iwv3 import models
 from iwv3.entropy import (
     GMM_K,
+    MAX_PIXELS,
     Bitstream,
     GmmParams,
     LongTermContext,
@@ -23,8 +24,8 @@ from iwv3.entropy import (
     gmm_prob,
     mask_a,
     mask_b,
+    quantized_cdf,
     weights_checksum,
-    _LazyCum,
 )
 from iwv3.gradtape import Tensor
 from iwv3.lifting import Cdf53, SubbandPyramid, forward_pyramid, make_backend
@@ -228,16 +229,34 @@ class TestQuantizedCdf:
             assert cum[0] == 0 and cum[-1] == TOTAL
             assert np.all(np.diff(cum) >= 1)
 
-    def test_lazy_matches_vectorized(self):
-        rng = np.random.default_rng(10)
-        w = rng.dirichlet(np.ones(GMM_K))
-        u = rng.normal(0, 3, GMM_K)
-        s = rng.uniform(0.1, 10, GMM_K)
-        vmin, vmax = -20, 20
-        cum = _quantized_cum_table(w, u, s, vmin, vmax)
-        lazy = _LazyCum(w, u, s, vmin, vmax)
-        for k in range(vmax - vmin + 2):
-            assert lazy(k) == cum[k]
+    def test_matches_reference_in_any_batch(self):
+        for alphabet in (2, 50, 801, 32768):
+            self._check_alphabet(alphabet)
+
+    def _check_alphabet(self, alphabet):
+        rng = np.random.default_rng(alphabet)
+        n = 5
+        w = rng.dirichlet(np.ones(GMM_K), n)
+        u = rng.normal(0, alphabet / 8, (n, GMM_K))
+        s = rng.uniform(0.1, alphabet / 4, (n, GMM_K))
+        vmin = -(alphabet // 2)
+        vmax = vmin + alphabet - 1
+        every = np.arange(alphabet + 1)[None, :]
+        table = quantized_cdf(w, u, s, every, vmin, alphabet)
+        for j in range(n):
+            cum = _quantized_cum_table(w[j], u[j], s[j], vmin, vmax)
+            assert np.array_equal(table[j], cum), (alphabet, j)
+        # the encoder's two boundaries per symbol, the decoder's search
+        # table over a wavefront and a one-row refinement batch give each
+        # boundary the same value
+        ks = rng.integers(0, alphabet, n)
+        pair = quantized_cdf(w, u, s, ks[:, None] + np.array([0, 1]), vmin, alphabet)
+        for j, k in enumerate(ks):
+            assert pair[j].tolist() == table[j, k : k + 2].tolist()
+            pts = np.unique(np.concatenate([[k, k + 1], rng.integers(1, alphabet, 9)]))
+            row = quantized_cdf(w[j : j + 1], u[j : j + 1], s[j : j + 1],
+                                pts[None, :], vmin, alphabet)[0]
+            assert row.tolist() == table[j, pts].tolist()
 
 
 def _subband_setup(seed, shape=(12, 10), spread=6, kind="HL"):
@@ -250,6 +269,17 @@ def _subband_setup(seed, shape=(12, 10), spread=6, kind="HL"):
     return cw, values, l_t, vmin, vmax
 
 
+def _full_grid_bits(weights, kind, values, l_t, qstep, vmin, vmax):
+    """Quantized-CDF bits of a subband under `context_forward` on the whole grid."""
+    params = {n: Tensor(v) for n, v in weights.items()}
+    s_t = Tensor((values * qstep)[None, None])
+    raw = context_forward(params, s_t, Tensor(l_t[None]), kind).data[0]
+    gmm = GmmParams.from_raw(raw.reshape(3 * GMM_K, -1))
+    k = (values.reshape(-1) - vmin)[:, None] + np.array([0, 1])
+    q = quantized_cdf(gmm.w.T, gmm.u.T, gmm.sigma.T, k, vmin, vmax - vmin + 1)
+    return float(np.sum(np.log2(TOTAL) - np.log2(q[:, 1] - q[:, 0])))
+
+
 class TestSubbandCodec:
     def test_round_trip(self):
         for seed in range(5):
@@ -259,7 +289,7 @@ class TestSubbandCodec:
             assert np.array_equal(out, values)
 
     def test_round_trip_wide_alphabet(self):
-        # alphabet beyond the vectorized threshold exercises the lazy path
+        # an alphabet wider than SEARCH_FANOUT takes refinement rounds
         cw, _, l_t, _, _ = _subband_setup(11, shape=(6, 6))
         rng = np.random.default_rng(12)
         values = rng.integers(-400, 401, (6, 6)).astype(np.int32)
@@ -292,6 +322,31 @@ class TestSubbandCodec:
         raw = context_forward(params, s_t, Tensor(l_t[None]), "HL").data[0]
         float_bits = gmm_bits(raw, values, vmin, vmax)
         assert abs(bits - float_bits) <= 0.02 * float_bits + 16
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 3), (3, 17)])
+    def test_wavefront_edge_shapes(self, shape):
+        for seed in range(3):
+            cw, values, l_t, vmin, vmax = _subband_setup(50 + seed, shape=shape)
+            vmin, vmax = vmin - 1, vmax + 1  # keep the alphabet above one symbol
+            payload, bits = encode_subband(values, cw, l_t, 1.5, vmin, vmax)
+            assert 8 * len(payload) <= bits * 1.01 + 64
+            out = decode_subband(payload, cw, l_t, 1.5, vmin, vmax, shape)
+            assert np.array_equal(out, values)
+            # every tap read the right neighbour: the wavefront codec prices
+            # each symbol as the full-grid context net does
+            ref = _full_grid_bits(random_ctx_weights(50 + seed), "HL", values,
+                                  l_t, 1.5, vmin, vmax)
+            assert bits == pytest.approx(ref, rel=1e-9)
+
+    def test_round_trip_at_alphabet_cap(self):
+        cw, _, l_t, _, _ = _subband_setup(15, shape=(5, 6))
+        vmin, vmax = -16384, 16383
+        assert SubbandCodec(cw, l_t, 1.0, vmin, vmax, (5, 6)).alphabet == TOTAL // 2
+        values = np.random.default_rng(16).integers(vmin, vmax + 1, (5, 6)).astype(np.int32)
+        values[0, 0], values[0, 5], values[4, 0], values[4, 5] = vmin, vmax, vmax, vmin
+        payload, _ = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
+        out = decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape)
+        assert np.array_equal(out, values)
 
     def test_range_too_wide_rejected(self):
         cw, _, l_t, _, _ = _subband_setup(14, shape=(2, 2))
@@ -417,6 +472,22 @@ class TestBitstream:
     def test_truncated_header(self):
         with pytest.raises(StreamError, match="truncated"):
             Bitstream.unpack(b"IWV3\x01\x00")
+
+    @pytest.mark.parametrize("levels, width, height", [
+        (20, 16, 16),  # levels the dimensions cannot take
+        (3, 60000, 60000),
+        (1, MAX_PIXELS + 1, 1),
+    ])
+    def test_geometry_over_cap_rejected(self, levels, width, height):
+        bs = Bitstream("lossless", levels, width, height, 0,
+                       [(1.0, 0, 0)] * (3 * levels + 1), [b"", b"", b""])
+        with pytest.raises(StreamError, match="cap"):
+            Bitstream.unpack(bs.pack())
+
+    def test_geometry_at_cap_accepted(self):
+        bs = Bitstream("lossless", 1, MAX_PIXELS // 2, 2, 0, [(1.0, 0, 0)] * 4,
+                       [b"", b"", b""])
+        assert Bitstream.unpack(bs.pack()).true_width == MAX_PIXELS // 2
 
     def test_checksum_helper_tracks_serialization(self):
         w1 = models.default_weights()
