@@ -19,6 +19,7 @@ from .entropy import (STREAM_VERSION, Bitstream, StreamError, WeightChecksumErro
                       coding_order)
 from .gradtape import load_weights, save_weights
 from .imageio import FormatError, read_ppm, write_ppm
+from .models import WeightsError
 from .rangecoder import RangeError
 
 EXIT_BAD_INPUT = 2
@@ -26,10 +27,6 @@ EXIT_WEIGHTS = 3
 EXIT_IO = 4
 EXIT_STREAM = 5
 EXIT_LOSS = 6
-
-
-class WeightsError(ValueError):
-    """Weights file missing, malformed, or inconsistent with the request."""
 
 
 def _load_image(path: str) -> np.ndarray:
@@ -52,13 +49,7 @@ def cmd_encode(args) -> int:
     rgb = _load_image(args.input)
     if args.mode != "lossless" and args.weights is None:
         raise WeightsError(f"mode {args.mode} requires --weights")
-    if args.mode == "lossless" and args.qstep_offset != 0.0:
-        raise FormatError("--qstep-offset only applies to lossy modes")
     weights = _load_weights_arg(args.weights)
-    try:
-        models.validate_weights(weights, args.mode, args.levels)
-    except ValueError as err:
-        raise WeightsError(str(err)) from err
     start = time.monotonic()
     bs = pipeline.encode_rgb(rgb, weights, args.mode, levels=args.levels,
                              qstep_offset=args.qstep_offset, threads=args.threads)
@@ -114,11 +105,6 @@ def cmd_train(args) -> int:
 def cmd_optimize(args) -> int:
     rgb = _load_image(args.input)
     weights = _load_weights_arg(args.weights)
-    try:
-        mode = models.infer_transform_kind(weights)
-        models.validate_weights(weights, mode)
-    except ValueError as err:
-        raise WeightsError(str(err)) from err
     image, before, after = training.online_optimize(
         rgb, weights, lr=args.lr, iters=args.iters, lam=args.rd_lambda)
     with open(args.output, "wb") as fh:

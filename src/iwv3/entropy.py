@@ -96,7 +96,7 @@ def mask_b() -> np.ndarray:
 # Context model
 # ---------------------------------------------------------------------------
 
-def context_forward(params, s_t, l_t, kind: str = "HL"):
+def context_forward(params, s_t, l_t, kind: str):
     """Full-grid context net: (N,1,H,W) S_t and (N,3,H,W) L_t -> (N,3K,H,W).
 
     The S_t branch uses masked convolutions (mask A then mask B) so the output
@@ -140,30 +140,27 @@ class GmmParams:
         return cls(e / e.sum(axis=0, keepdims=True), ru.copy(), sigma)
 
 
+def _mass(params: GmmParams, values, vmin: int, vmax: int) -> np.ndarray:
+    """Mixture mass on [v-1/2, v+1/2] per position, tails absorbed at the
+    range ends; `values` is one integer or a grid of the positions' shape."""
+    lo = np.where(values == vmin, -np.inf, values - 0.5)
+    hi = np.where(values == vmax, np.inf, values + 0.5)
+    mass = np.zeros(params.u.shape[1:])
+    for w, u, sigma in zip(params.w, params.u, params.sigma):
+        mass += w * (np_ndtr((hi - u) / sigma) - np_ndtr((lo - u) / sigma))
+    return mass
+
+
 def gmm_prob(params: GmmParams, v: int, vmin: int, vmax: int):
     """Mixture mass on [v-1/2, v+1/2] with tails absorbed at the range ends."""
     if not (vmin <= v <= vmax):
         raise ValueError(f"value {v} outside signaled range [{vmin}, {vmax}]")
-    lo = np.zeros(params.u.shape[1:]) if v == vmin else _mix_cdf(params, v - 0.5)
-    hi = np.ones(params.u.shape[1:]) if v == vmax else _mix_cdf(params, v + 0.5)
-    return hi - lo
-
-
-def _mix_cdf(params: GmmParams, x: float) -> np.ndarray:
-    z = (x - params.u) / params.sigma
-    return (params.w * np_ndtr(z)).sum(axis=0)
+    return _mass(params, v, vmin, vmax)
 
 
 def gmm_bits(raw: np.ndarray, values: np.ndarray, vmin: int, vmax: int) -> float:
     """Model cross-entropy (bits) of an integer grid under raw GMM outputs."""
-    params = GmmParams.from_raw(raw)
-    bounds_lo = np.where(values == vmin, -np.inf, values - 0.5)
-    bounds_hi = np.where(values == vmax, np.inf, values + 0.5)
-    mass = np.zeros(values.shape, dtype=np.float64)
-    for k in range(GMM_K):
-        z_lo = np_ndtr((bounds_lo - params.u[k]) / params.sigma[k])
-        z_hi = np_ndtr((bounds_hi - params.u[k]) / params.sigma[k])
-        mass += params.w[k] * (z_hi - z_lo)
+    mass = _mass(GmmParams.from_raw(raw), values, vmin, vmax)
     return float(-np.log2(np.maximum(mass, 1e-12)).sum())
 
 
@@ -180,9 +177,8 @@ class LongTermContext:
     (what the decoder will actually hold).
     """
 
-    def __init__(self, backend, levels: int):
+    def __init__(self, backend):
         self.backend = backend
-        self.levels = levels
         self._ll = None
         self._seen = {}
 
@@ -437,8 +433,8 @@ class SubbandCodec:
         return out
 
 
-def encode_subband(values, cw, l_t, qstep, vmin, vmax) -> bytes:
-    """Standalone range-coded payload for a single subband."""
+def encode_subband(values, cw, l_t, qstep, vmin, vmax) -> tuple[bytes, float]:
+    """Standalone range-coded payload for a single subband, and its model bits."""
     rc = RangeEncoder()
     codec = SubbandCodec(cw, l_t, qstep, vmin, vmax, values.shape)
     codec.run(rc, values)
@@ -552,12 +548,6 @@ class Bitstream:
 # Whole-image encode / decode
 # ---------------------------------------------------------------------------
 
-def _deq_for_backend(values: np.ndarray, qstep: float, backend):
-    if getattr(backend, "integer_only", False):
-        return values.astype(np.int32)
-    return dequantize(values, qstep)
-
-
 def _lt_stack(grids, shape) -> np.ndarray:
     out = np.zeros((LT_WIDTH,) + tuple(shape))
     for idx, g in enumerate(grids):
@@ -577,7 +567,7 @@ def code_channel(rc, bs: Bitstream, ctx_arrays, backend, pyramid=None):
     """
     levels = bs.levels
     ph, pw = padded_geometry(levels, bs.true_width, bs.true_height)
-    ltc = LongTermContext(backend, levels)
+    ltc = LongTermContext(backend)
     out = SubbandPyramid(levels, None, [(None, None, None)] * levels)
     bits = []
     for (level, kind), (qstep, vmin, vmax) in zip(coding_order(levels), bs.subband_info):
@@ -596,7 +586,7 @@ def code_channel(rc, bs: Bitstream, ctx_arrays, backend, pyramid=None):
             raise RangeError(f"subband {kind}{level}: {err}") from err
         out.set(level, kind, values)
         bits.append(codec.model_bits)
-        ltc.advance(level, kind, _deq_for_backend(values, qstep, backend))
+        ltc.advance(level, kind, dequantize(values, qstep))
     return out, bits
 
 

@@ -1,9 +1,9 @@
 """Dense tensor engine with recorded reverse-mode differentiation.
 
 A Tape records every operation applied to tensors attached to it; backward()
-replays the recording once to produce gradients for named parameters and for
-inputs flagged as differentiable.  Tensors without a tape evaluate eagerly,
-so the same network code serves both training and plain inference.
+replays the recording once to produce gradients for the named leaves flagged
+as differentiable.  Tensors without a tape evaluate eagerly, so the same
+network code serves both training and plain inference.
 
 Values are float64 throughout; weight files store float32 little-endian.
 """
@@ -20,6 +20,8 @@ from scipy.special import ndtr as _ndtr
 # Raw affine scales are clamped before exponentiation so that e^raw stays in
 # a numerically invertible band; positivity is preserved for all weights.
 RAW_SCALE_LIMIT = 1.0
+# Hidden width of the lifting predict/update nets.
+PU_CHANNELS = 16
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -45,9 +47,8 @@ class Tape:
     def backward(self, loss: "Tensor") -> dict:
         """Gradients of a scalar loss wrt named/differentiable leaves.
 
-        Returns {name: gradient array} for named leaves; every differentiable
-        leaf also gets its gradient stored on `.grad`.  A tape can only be
-        walked once.
+        Returns {name: gradient array} for the named differentiable leaves.
+        A tape can only be walked once.
         """
         if self._consumed:
             raise ValueError("recording consumed twice")
@@ -71,11 +72,8 @@ class Tape:
                         grads[key] = grads[key] + pg
                     else:
                         grads[key] = pg
-            else:
-                if node.requires_grad:
-                    node.grad = g
-                    if node.name is not None:
-                        out[node.name] = g
+            elif node.requires_grad and node.name is not None:
+                out[node.name] = g
         self._nodes = []
         return out
 
@@ -83,7 +81,7 @@ class Tape:
 class Tensor:
     """N-d float64 value, optionally attached to a recording."""
 
-    __slots__ = ("data", "tape", "name", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "tape", "name", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, tape=None, name=None, requires_grad=False,
                  parents=(), backward=None):
@@ -91,7 +89,6 @@ class Tensor:
         self.tape = tape
         self.name = name
         self.requires_grad = requires_grad
-        self.grad = None
         self._parents = parents
         self._backward = backward
         if tape is not None:
@@ -251,34 +248,27 @@ def tmean(a) -> Tensor:
 # Structural ops
 # ---------------------------------------------------------------------------
 
-def take_even(a, axis: int) -> Tensor:
+def _take(a, axis: int, start: int) -> Tensor:
+    """Every second sample along `axis`, from index `start`."""
     a = _wrap(a)
+    sl = [slice(None)] * a.data.ndim
+    sl[axis] = slice(start, None, 2)
+    sl = tuple(sl)
 
     def back(g):
         full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = slice(0, None, 2)
-        full[tuple(sl)] = g
+        full[sl] = g
         return (full,)
 
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(0, None, 2)
-    return _make(a.data[tuple(sl)].copy(), (a,), back)
+    return _make(a.data[sl].copy(), (a,), back)
+
+
+def take_even(a, axis: int) -> Tensor:
+    return _take(a, axis, 0)
 
 
 def take_odd(a, axis: int) -> Tensor:
-    a = _wrap(a)
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = slice(1, None, 2)
-        full[tuple(sl)] = g
-        return (full,)
-
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(1, None, 2)
-    return _make(a.data[tuple(sl)].copy(), (a,), back)
+    return _take(a, axis, 1)
 
 
 def interleave(even, odd, axis: int) -> Tensor:
@@ -489,10 +479,9 @@ class PUNet:
 
     kind: str
     prefix: str
-    channels: int = 16
 
     def weight_shapes(self):
-        c = self.channels
+        c = PU_CHANNELS
         shapes = {
             f"{self.prefix}.c1.w": (c, 1, 3, 3),
             f"{self.prefix}.c1.b": (c,),

@@ -100,7 +100,7 @@ def pad_symmetric(plane: np.ndarray, levels: int) -> np.ndarray:
     """Extend a plane to multiples of 2^levels by whole-sample mirroring.
 
     The mirror does not repeat the edge sample: [a, b, c] -> [a, b, c, b].
-    Degenerate 1-wide axes repeat the single sample.
+    A 1-wide axis repeats its single sample.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -110,12 +110,6 @@ def pad_symmetric(plane: np.ndarray, levels: int) -> np.ndarray:
     ph, pw = padded_size(h, levels), padded_size(w, levels)
     if (ph, pw) == (h, w):
         return plane
-    if h == 1 and ph > h:
-        plane = np.repeat(plane, 2, axis=0)[: min(2, ph)]
-        h = plane.shape[0]
-    if w == 1 and pw > w:
-        plane = np.repeat(plane, 2, axis=1)[:, : min(2, pw)]
-        w = plane.shape[1]
     return np.pad(plane, ((0, ph - h), (0, pw - w)), mode="reflect")
 
 
@@ -125,15 +119,13 @@ def crop(plane: np.ndarray, height: int, width: int) -> np.ndarray:
 
 @dataclass
 class ImagePlanes:
-    """Planar YCoCg-R image with true and padded geometry."""
+    """Planar YCoCg-R image, padded, with its true geometry."""
 
     y: np.ndarray
     co: np.ndarray
     cg: np.ndarray
     true_width: int
     true_height: int
-    padded_width: int
-    padded_height: int
 
     @property
     def planes(self):
@@ -146,7 +138,7 @@ class ImagePlanes:
             raise FormatError("empty image")
         y, co, cg = rgb_to_ycocgr(rgb)
         y, co, cg = (pad_symmetric(p, levels) for p in (y, co, cg))
-        return cls(y, co, cg, w, h, padded_size(w, levels), padded_size(h, levels))
+        return cls(y, co, cg, w, h)
 
     def to_rgb(self) -> np.ndarray:
         """Crop to true size, invert the color transform, clamp to 8 bits."""
@@ -165,5 +157,4 @@ def planes_to_rgb(planes, true_width: int, true_height: int) -> np.ndarray:
     y = np.clip(y, 0, 255).astype(np.int16)
     co = np.clip(co, -255, 255).astype(np.int16)
     cg = np.clip(cg, -255, 255).astype(np.int16)
-    ph, pw = y.shape
-    return ImagePlanes(y, co, cg, true_width, true_height, pw, ph).to_rgb()
+    return ImagePlanes(y, co, cg, true_width, true_height).to_rgb()

@@ -30,14 +30,6 @@ from .gradtape import (
 SUBBAND_KINDS = ("LL", "HL", "LH", "HH")
 
 
-def split(signal):
-    """Split a sequence by parity of index: interleave(x_e, x_o) == signal."""
-    signal = np.asarray(signal)
-    if signal.shape[-1] % 2 != 0:
-        raise ValueError("signal length must be even")
-    return signal[..., 0::2].copy(), signal[..., 1::2].copy()
-
-
 def merge(x_e, x_o):
     x_e, x_o = np.asarray(x_e), np.asarray(x_o)
     out = np.empty(x_e.shape[:-1] + (2 * x_e.shape[-1],), dtype=x_e.dtype)
@@ -58,8 +50,6 @@ def _shift_left(a):
 
 class Cdf53:
     """Reversible integer 5/3 lifting (the lossless transform)."""
-
-    integer_only = True
 
     def forward_pair(self, x_e, x_o):
         x_e = np.asarray(x_e)
@@ -82,8 +72,6 @@ class Cdf53:
 
 class Cdf97:
     """Classical 9/7 float lifting, scaled to near-unit energy gain."""
-
-    integer_only = False
 
     ALPHA = -1.586134342
     BETA = -0.05298011854
@@ -134,7 +122,6 @@ class CnnLifting:
 
     mode: str  # "additive" | "affine"
     params: dict  # name -> Tensor
-    integer_only: bool = False
     _stages: list = field(init=False)
 
     def __post_init__(self):

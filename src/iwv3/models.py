@@ -26,6 +26,10 @@ DEFAULT_DQ = DequantNet()
 DEFAULT_SIGMA_LADDER = (1.0, 8.0, 64.0)
 
 
+class WeightsError(ValueError):
+    """Weights missing, malformed, or inconsistent with the request."""
+
+
 def context_weight_shapes(kind: str) -> dict:
     p = ctx_prefix(kind)
     c = CTX_CHANNELS
@@ -123,7 +127,7 @@ def infer_levels(weights: ModelWeights) -> int:
     while f"q.l{levels + 1}.hl.logq" in weights:
         levels += 1
     if levels == 0:
-        raise ValueError("weights carry no quantization steps (lossless-only?)")
+        raise WeightsError("weights carry no quantization steps (lossless-only?)")
     return levels
 
 
@@ -132,10 +136,12 @@ def infer_transform_kind(weights: ModelWeights) -> str:
         return "affine"
     if "xf.p1.c3.w" in weights:
         return "additive"
-    raise ValueError("weights carry no transform nets")
+    raise WeightsError("weights carry no transform nets")
 
 
 def infer_dq_shape(weights: ModelWeights) -> DequantNet:
+    if "dq.head.w" not in weights:
+        raise WeightsError("weights carry no dequantization filter (dq.head.w)")
     channels = weights.get("dq.head.w").shape[0]
     groups = 0
     while f"dq.g{groups + 1}.b1.c1.w" in weights:
@@ -148,7 +154,8 @@ def infer_dq_shape(weights: ModelWeights) -> DequantNet:
 
 def validate_weights(weights: ModelWeights, mode: str, levels: int | None = None):
     """Check that a weight set carries every tensor the mode needs, with the
-    right shapes.  Returns the effective (levels, steps, dq) geometry."""
+    right shapes.  Returns the effective (levels, steps, dq) geometry;
+    raises WeightsError otherwise."""
     if mode == "lossless":
         needed = {}
         for kind in SUBBAND_KINDS:
@@ -157,20 +164,20 @@ def validate_weights(weights: ModelWeights, mode: str, levels: int | None = None
     else:
         kind = infer_transform_kind(weights)
         if kind != mode:
-            raise ValueError(f"weights hold a {kind} transform, not {mode}")
+            raise WeightsError(f"weights hold a {kind} transform, not {mode}")
         steps = infer_steps(weights)
         dq = infer_dq_shape(weights)
         trained_levels = infer_levels(weights)
         if levels is None:
             levels = trained_levels
         elif levels != trained_levels:
-            raise ValueError(
+            raise WeightsError(
                 f"weights were trained for {trained_levels} levels, not {levels}")
         needed = all_weight_shapes(mode, levels, steps, dq)
     for name, shape in needed.items():
         if name not in weights:
-            raise ValueError(f"weights missing tensor {name!r}")
+            raise WeightsError(f"weights missing tensor {name!r}")
         have = weights.get(name).shape
         if tuple(have) != tuple(shape):
-            raise ValueError(f"tensor {name!r} has shape {have}, expected {shape}")
+            raise WeightsError(f"tensor {name!r} has shape {have}, expected {shape}")
     return levels, steps, dq

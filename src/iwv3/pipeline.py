@@ -38,10 +38,8 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
     planes = ImagePlanes.from_rgb(rgb, levels)
     grid = build_quantgrid(weights, mode, levels, qstep_offset)
     backend = make_backend(mode, weights=weights)
-    dtype = np.int32 if backend.integer_only else np.float64
-    channel_planes = [p.astype(dtype) for p in planes.planes]
     qpyramids = []
-    for ch, plane in enumerate(channel_planes):
+    for ch, plane in enumerate(planes.planes):
         pyr = forward_pyramid(backend, plane, levels)
         qpyr = pyr.map(lambda g: g)
         for level, kind in coding_order(levels):
@@ -61,14 +59,12 @@ def reconstruct(bs: Bitstream, pyramids, weights) -> np.ndarray:
     dq_net = None if bs.mode == "lossless" else models.infer_dq_shape(weights)
     out_planes = []
     for pyr in pyramids:
-        if dq_net is None:
-            out_planes.append(inverse_pyramid(backend, pyr))
-            continue
         deq = pyr.map(lambda g: None)
         for level, kind in order:
             deq.set(level, kind, dequantize(pyr.get(level, kind), qsteps[(level, kind)]))
         plane = inverse_pyramid(backend, deq)
-        out_planes.append(dequant_filter_plane(dq_net, weights, plane))
+        out_planes.append(plane if dq_net is None
+                          else dequant_filter_plane(dq_net, weights, plane))
     return planes_to_rgb(out_planes, bs.true_width, bs.true_height)
 
 

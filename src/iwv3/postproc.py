@@ -24,42 +24,40 @@ class DequantNet:
     groups: int = 2
     blocks: int = 2
     channels: int = 16
-    prefix: str = "dq"
 
     def weight_shapes(self):
         c = self.channels
         shapes = {
-            f"{self.prefix}.head.w": (c, 1, 3, 3),
-            f"{self.prefix}.head.b": (c,),
+            "dq.head.w": (c, 1, 3, 3),
+            "dq.head.b": (c,),
         }
         for g in range(1, self.groups + 1):
             for b in range(1, self.blocks + 1):
-                base = f"{self.prefix}.g{g}.b{b}"
+                base = f"dq.g{g}.b{b}"
                 shapes[f"{base}.c1.w"] = (c, c, 3, 3)
                 shapes[f"{base}.c1.b"] = (c,)
                 shapes[f"{base}.c2.w"] = (c, c, 3, 3)
                 shapes[f"{base}.c2.b"] = (c,)
-        shapes[f"{self.prefix}.tail.w"] = (1, c, 3, 3)
-        shapes[f"{self.prefix}.tail.b"] = (1,)
+        shapes["dq.tail.w"] = (1, c, 3, 3)
+        shapes["dq.tail.b"] = (1,)
         return shapes
 
 
 def dequant_filter(net: DequantNet, params, plane):
     """Refine a decoded (N,1,H,W) plane; identity when the net is all zeros."""
-    p = net.prefix
     try:
         x = gt.relu(gt.conv2d(gt.scale(plane, INPUT_SCALE),
-                              params[f"{p}.head.w"], params[f"{p}.head.b"]))
+                              params["dq.head.w"], params["dq.head.b"]))
         for g in range(1, net.groups + 1):
             group_in = x
             for b in range(1, net.blocks + 1):
-                base = f"{p}.g{g}.b{b}"
+                base = f"dq.g{g}.b{b}"
                 y = gt.relu(gt.conv2d(x, params[f"{base}.c1.w"],
                                       params[f"{base}.c1.b"]))
                 y = gt.conv2d(y, params[f"{base}.c2.w"], params[f"{base}.c2.b"])
                 x = gt.add(x, y)
             x = gt.add(group_in, x)
-        residual = gt.conv2d(x, params[f"{p}.tail.w"], params[f"{p}.tail.b"])
+        residual = gt.conv2d(x, params["dq.tail.w"], params["dq.tail.b"])
         return gt.add(plane, gt.scale(residual, OUTPUT_SCALE))
     except KeyError as missing:
         raise ValueError(f"dequant net weights incomplete: missing {missing}") from None
@@ -69,6 +67,6 @@ def dequant_filter_plane(net: DequantNet, weights, plane2d):
     """Eager convenience wrapper on a bare (H, W) array."""
     t = Tensor(plane2d.reshape((1, 1) + plane2d.shape))
     params = {name: Tensor(values) for name, values in weights.items()
-              if name.startswith(net.prefix + ".")}
+              if name.startswith("dq.")}
     out = dequant_filter(net, params, t)
     return out.data.reshape(plane2d.shape)

@@ -34,34 +34,30 @@ def dequantize(ints, qstep: float) -> np.ndarray:
 
 
 def soft_round(y, alpha: float):
-    """Monotone differentiable staircase fixing integers and half-integers."""
+    """Monotone differentiable staircase fixing integers and half-integers.
+
+    `y` is a Tensor, and the result joins its recording, or a plain float or
+    array, evaluated eagerly and returned as an array.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if not isinstance(y, Tensor):
+        return soft_round(Tensor(y), alpha).data
     denom = math.tanh(alpha / 2.0)
-    if isinstance(y, Tensor):
-        base = gt.floor_const(y)
-        r = gt.sub(gt.sub(y, base), gt.scale(_ones_like(y), 0.5))
-        ramp = gt.scale(gt.tanh(gt.scale(r, alpha)), 0.5 / denom)
-        return gt.add(gt.add(base, ramp), gt.scale(_ones_like(y), 0.5))
-    y = np.asarray(y, dtype=np.float64)
-    base = np.floor(y)
-    r = y - base - 0.5
-    return base + 0.5 * np.tanh(alpha * r) / denom + 0.5
-
-
-def _ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones_like(t.data))
+    half = Tensor(np.full(y.data.shape, 0.5))
+    base = gt.floor_const(y)
+    r = gt.sub(gt.sub(y, base), half)
+    ramp = gt.scale(gt.tanh(gt.scale(r, alpha)), 0.5 / denom)
+    return gt.add(gt.add(base, ramp), half)
 
 
 def soft_to_hard_quant(y, alpha: float, noise):
-    """Differentiable rounding surrogate s_a(s_a(y) + u), u in [-0.5, 0.5]."""
-    inner = soft_round(y, alpha)
-    if isinstance(y, Tensor):
-        u = np.broadcast_to(np.asarray(noise, dtype=np.float64), y.data.shape)
-        inner = gt.add(inner, Tensor(u.copy()))
-    else:
-        inner = inner + np.asarray(noise, dtype=np.float64)
-    return soft_round(inner, alpha)
+    """Differentiable rounding surrogate s_a(s_a(y) + u), u in [-0.5, 0.5];
+    a Tensor or a plain value, like soft_round."""
+    if not isinstance(y, Tensor):
+        return soft_to_hard_quant(Tensor(y), alpha, noise).data
+    u = np.broadcast_to(np.asarray(noise, dtype=np.float64), y.data.shape)
+    return soft_round(gt.add(soft_round(y, alpha), Tensor(u.copy())), alpha)
 
 
 def anneal_alpha(step: int, total_steps: int) -> float:

@@ -86,13 +86,6 @@ class TrainConfig:
     def dq_net(self) -> DequantNet:
         return DequantNet(self.dq_groups, self.dq_blocks, self.dq_channels)
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            key = "lambda" if f.name == "lam" else f.name
-            lines.append(f"{key} = {getattr(self, f.name)}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def parse(cls, text: str) -> "TrainConfig":
         values = {}
@@ -214,7 +207,7 @@ def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
     (bits, refined).  Grids stay arrays when the quantizer returns arrays, so
     a hard quantizer keeps the transform chain off the tape.
     """
-    ltc = LongTermContext(backend, pyr.levels)
+    ltc = LongTermContext(backend)
     deq = pyr.map(lambda g: None)
     bits = None
     for level, kind in coding_order(pyr.levels):
@@ -445,8 +438,7 @@ def run_training(cfg: TrainConfig, images_rgb, log_fn=None, snapshots=None):
     return weights, history
 
 
-def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig,
-            qstep_offset: float = 0.0) -> LossReport:
+def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig) -> LossReport:
     """Deterministic hard-quantization RD of single planes under a model.
 
     The rate is the coder's own model cross-entropy (`gmm_bits`, tails
@@ -455,8 +447,7 @@ def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig,
     levels, _, dq_net = models.validate_weights(weights, cfg.mode)
     backend = make_backend(cfg.mode, weights=weights)
     params = gt.constant_params(weights)
-    quantizer = _hard_quantizer(
-        QuantGrid.from_weights(weights, levels).scaled(qstep_offset))
+    quantizer = _hard_quantizer(QuantGrid.from_weights(weights, levels))
 
     def model_bits(kind, s_t, l_t, v):
         raw = context_forward(params, s_t, l_t, kind).data[0]
@@ -483,9 +474,9 @@ def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def measure_rd(rgb, reference_rgb, weights: ModelWeights, mode: str,
-               lam: float, qstep_offset: float = 0.0) -> LossReport:
+               lam: float) -> LossReport:
     """Actual-encode RD: payload bits plus distortion against a reference."""
-    bs = pipeline.encode_rgb(rgb, weights, mode, qstep_offset=qstep_offset)
+    bs = pipeline.encode_rgb(rgb, weights, mode)
     packed = bs.pack()
     _, pyramids = decode_image(packed, weights)
     recon = pipeline.reconstruct(bs, pyramids, weights)
@@ -526,8 +517,7 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
             total, _ = _rd_loss(bits, refined, cur[ch][None, None], lam)
             if not math.isfinite(float(total.data)):
                 raise TrainingError("non-finite gradient target in online optimization")
-            tape.backward(total)
-            cur[ch] = cur[ch] - lr * x.grad[0, 0]
+            cur[ch] = cur[ch] - lr * tape.backward(total)["image"][0, 0]
 
     candidate = planes_to_rgb(cur, planes0.true_width, planes0.true_height)
 

@@ -9,7 +9,7 @@ import pytest
 from iwv3 import models
 from iwv3.cli import main
 from iwv3.entropy import Bitstream, coding_order
-from iwv3.gradtape import save_weights
+from iwv3.gradtape import ModelWeights, save_weights
 from iwv3.imageio import read_ppm, write_ppm
 
 from conftest import natural_photo, perturbed_lossy_weights
@@ -78,6 +78,22 @@ class TestEncodeDecode:
                      "--weights", str(opath)]) == 3
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["encode", "optimize"])
+    def test_weights_without_dequant_filter_exit_3(self, verb, workdir, capsys):
+        full = perturbed_lossy_weights("additive", 2, seed=5)
+        weights = ModelWeights()
+        for name, values in full.items():
+            if not name.startswith("dq."):
+                weights.add(name, values)
+        wpath = workdir / "w.iwtw"
+        wpath.write_bytes(save_weights(weights))
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(8, 8, 7))
+        args = {"encode": ["--mode", "additive"], "optimize": ["--iters", "1"]}[verb]
+        rc = main([verb, str(src), str(workdir / "out"), "--weights", str(wpath)] + args)
+        assert rc == 3
+        assert "dequantization filter" in capsys.readouterr().err
 
     def test_truncated_stream_exit_5(self, workdir, capsys):
         src = workdir / "in.ppm"

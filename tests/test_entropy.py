@@ -88,7 +88,7 @@ class TestLongTermContext:
 
     def _stack_before(self, pyr, n):
         """Context stack for the n-th subband in coding order."""
-        ltc = LongTermContext(Cdf53(), pyr.levels)
+        ltc = LongTermContext(Cdf53())
         order = coding_order(pyr.levels)
         for level, kind in order[:n]:
             ltc.advance(level, kind, pyr.get(level, kind))
@@ -117,7 +117,7 @@ class TestLongTermContext:
         assert stack[1] is None and stack[2] is None
 
     def test_missing_predecessor_rejected(self):
-        ltc = LongTermContext(Cdf53(), 2)
+        ltc = LongTermContext(Cdf53())
         with pytest.raises(ValueError, match="unknown subband"):
             ltc.stack_for(2, "XX")
 

@@ -139,6 +139,19 @@ class TestPadding:
                     assert padded.shape[0] % (1 << levels) == 0
                     assert padded.shape[1] % (1 << levels) == 0
                     assert np.array_equal(crop(padded, h, w), plane)
+        # a 1-wide axis repeats its lone sample, at every level
+        for shape in ((1, 1), (1, 7), (7, 1), (1, 16), (16, 1)):
+            plane = rng.integers(-255, 256, shape).astype(np.int16)
+            for levels in (1, 2, 3, 4):
+                padded = pad_symmetric(plane, levels)
+                assert padded.dtype == np.int16
+                assert padded.shape == (padded_size(shape[0], levels),
+                                        padded_size(shape[1], levels))
+                assert np.array_equal(crop(padded, *shape), plane)
+                if shape[0] == 1:
+                    assert np.all(padded == padded[:1])
+                if shape[1] == 1:
+                    assert np.all(padded == padded[:, :1])
 
     def test_empty_plane_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -155,12 +168,11 @@ class TestImagePlanes:
         rng = np.random.default_rng(3)
         rgb = rng.integers(0, 256, (13, 21, 3), dtype=np.uint8)
         planes = ImagePlanes.from_rgb(rgb, levels=3)
-        assert planes.padded_width % 8 == 0
-        assert planes.padded_height % 8 == 0
+        assert planes.y.shape == (16, 24)
         assert np.array_equal(planes.to_rgb(), rgb)
 
     def test_geometry_fields(self):
         rgb = np.zeros((5, 6, 3), dtype=np.uint8)
         planes = ImagePlanes.from_rgb(rgb, levels=2)
         assert (planes.true_width, planes.true_height) == (6, 5)
-        assert (planes.padded_width, planes.padded_height) == (8, 8)
+        assert all(p.shape == (8, 8) for p in planes.planes)

@@ -96,11 +96,6 @@ class TestSoftRound:
         with pytest.raises(ValueError):
             soft_round(0.3, 0.0)
 
-    def test_tensor_and_array_paths_agree(self):
-        y = np.linspace(-2, 2, 101)
-        out_t = soft_round(gt.Tensor(y), 3.0).data
-        assert np.allclose(out_t, soft_round(y, 3.0), atol=1e-15)
-
 
 class TestSoftToHard:
     def test_integer_double_fixed_point(self):

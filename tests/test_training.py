@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iwv3 import gradtape as gt
 from iwv3 import models, training
 from iwv3.gradtape import save_weights
 from iwv3.imageio import ImagePlanes
@@ -70,9 +71,9 @@ class TestLossRd:
 
 class TestConfig:
     def test_round_trip(self):
-        cfg = TrainConfig(lam=0.125, stage2_steps=17, mode="affine")
-        out = TrainConfig.parse(cfg.to_text())
-        assert out == cfg
+        text = "mode = affine\nstage2_steps = 17\nlambda = 0.125  # rate weight\n"
+        assert TrainConfig.parse(text) == TrainConfig(lam=0.125, stage2_steps=17,
+                                                      mode="affine")
 
     def test_lambda_key_spelled_out(self):
         cfg = TrainConfig.parse("lambda = 0.25\nseed = 2\n")
@@ -167,6 +168,21 @@ class TestStageContracts:
         weights.set("dq.tail.w", weights.get("dq.tail.w") + 1e308)
         with pytest.raises(TrainingError, match="non-finite"):
             pretrain_step(small_batch(cfg), weights, cfg, SgdMomentum())
+
+    # stage 1 still steps before it checks its loss (an open ROADMAP item)
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_non_finite_loss_leaves_weights_unchanged(self, stage, monkeypatch):
+        log = gt.log
+        monkeypatch.setattr(gt, "log", lambda a: gt.scale(log(a), float("nan")))
+        cfg = small_cfg(batch=1, crop=16)
+        weights = perturbed_lossy_weights(cfg.mode, cfg.levels, seed=14)
+        snapshot = save_weights(weights)
+        batch, opt, rng = small_batch(cfg), SgdMomentum(), np.random.default_rng(0)
+        step = {2: lambda: e2e_soft_step(batch, weights, cfg, opt, 2.0, rng),
+                3: lambda: hard_finetune_step(batch, weights, cfg, opt, rng)}[stage]
+        with pytest.raises(TrainingError, match=f"non-finite loss in stage {stage}"):
+            step()
+        assert save_weights(weights) == snapshot
 
 
 class TestSoftRdGraph:
