@@ -43,6 +43,10 @@ STREAM_VERSION = 2
 # Largest padded plane (width x height, each rounded up to a multiple of
 # 2^levels) a stream may declare; checked before anything is allocated.
 MAX_PIXELS = 1 << 24
+# Widest coefficient range a subband may span: `quantized_cdf` reserves one
+# of the range coder's TOTAL counts per symbol and keeps at least as many
+# for the model's share.
+MAX_ALPHABET = TOTAL // 2
 # Boundaries the decoder evaluates per round of its search: alphabets up to
 # this size get their whole table in the first round.
 SEARCH_FANOUT = 64
@@ -315,7 +319,7 @@ class SubbandCodec:
         self.qstep = float(qstep)
         self.vmin, self.vmax = int(vmin), int(vmax)
         self.alphabet = self.vmax - self.vmin + 1
-        if self.alphabet > TOTAL - self.alphabet:
+        if self.alphabet > MAX_ALPHABET:
             raise StreamError(f"coefficient range too wide ({self.alphabet})")
         self.model_bits = 0.0
 
@@ -614,6 +618,10 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
         qstep = float(np.float32(quantgrid.qstep(0, level, kind)))
         vmin = min(int(p.get(level, kind).min()) for p in qpyramids)
         vmax = max(int(p.get(level, kind).max()) for p in qpyramids)
+        if vmax - vmin + 1 > MAX_ALPHABET:
+            raise ValueError(
+                f"the model cannot code this image: subband {kind} of level {level} "
+                f"spans {vmax - vmin + 1} coefficient values (at most {MAX_ALPHABET})")
         info.append((qstep, vmin, vmax))
     tw, th = true_size
     bs = Bitstream(mode, levels, tw, th, weights_checksum(weights), info, [])

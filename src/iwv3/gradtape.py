@@ -6,6 +6,25 @@ as differentiable.  Tensors without a tape evaluate eagerly, so the same
 network code serves both training and plain inference.
 
 Values are float64 throughout; weight files store float32 little-endian.
+
+Convolution.  The forward product, `_conv2d_raw`, contracts a
+`sliding_window_view` of the padded input with one `tensordot`.  Its bits
+are frozen: streams, decoding and `eval_rd` all run it, and the affine
+transform's forward/inverse round trip is sensitive to its last bit (one-ulp
+nudges of a 16x16 test pyramid's LL band move the round-trip error from
+5e-8 to a median of 4.5e-5, against the acceptance bound of 1e-4), so
+another summation order (per-tap, im2col) is not a free change even though
+each conv moves by only ~1e-15 relative.
+
+The backward products feed no stream and are lowered to one GEMM per kernel
+tap (accumulating kn2row): the upstream gradient g (N, O, H, W) is
+zero-padded once into a per-channel flat layout (N, O, (H+2ph+1)*(W+2pw)),
+in which the g values that tap (ky, kx) meets are one contiguous slice.
+dw[:, :, ky, kx] is then one batched (O,M)@(M,C) product with the input
+widened to the same row pitch, and dx accumulates one (C,O)@(O,M) product
+per tap.  No 9x window copy is made and nothing padded is kept on the tape.
+When g has fewer than `_TAP_MIN_CHANNELS` channels, dx keeps the window
+contraction, which is faster for such thin products.
 """
 
 from __future__ import annotations
@@ -345,20 +364,65 @@ def conv2d(x, w, b=None) -> Tensor:
     parents = (x, w) if b is None else (x, w, _wrap(b))
     bdata = None if b is None else parents[2].data
     out = _conv2d_raw(x.data, w.data, bdata)
-    kh, kw = w.data.shape[2], w.data.shape[3]
-    ph, pw = kh // 2, kw // 2
 
     def back(g):
-        wflip = w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dx = _conv2d_raw(g, np.ascontiguousarray(wflip), None)
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        dw = np.tensordot(g, win, axes=[(0, 2, 3), (0, 2, 3)])
+        dx, dw = _conv2d_back(x.data, w.data, g)
         if bdata is None:
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return _make(out, parents, back)
+
+
+# Fewest channels of g for which dx takes the per-tap products.  Set from
+# the conv table of a traced train-steps run: the dx products that contract
+# 1 or 3 channels (the P/U nets' 16->1 heads, the context net's 32->1 and
+# 32->3 layers) ran 1.7-6.5x faster as the window contraction, and those
+# that contract 9 or more ran 1.4-9x faster per tap.  No model conv
+# contracts 4-8; there the crossover rises with dx's channel count.
+_TAP_MIN_CHANNELS = 4
+
+
+def _flat(a, top, bottom, left, right):
+    """a (N,C,H,W) zero-padded by the given rows/columns, flattened per channel."""
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + top + bottom, w + left + right))
+    out[:, :, top:top + h, left:left + w] = a
+    return out.reshape(n, c, -1)
+
+
+def _conv2d_back(x, w, g):
+    """(dx, dw) of `_conv2d_raw(x, w, b)` for the upstream gradient g."""
+    o, c, kh, kw = w.shape
+    n, _, h, wd = g.shape
+    ph, pw = kh // 2, kw // 2
+    wp = wd + 2 * pw
+    m = h * wp
+    # Output position (i, j) is flat index i*wp + j, so with g padded like
+    # the forward input (plus a spare row that keeps every slice in bounds)
+    # the g values that kernel tap (ky, kx) meets form one contiguous slice.
+    gp = _flat(g, ph, ph + 1, pw, pw)
+    # x widened to the same row pitch; its zero columns cancel the slice
+    # positions that straddle two rows.
+    xw = _flat(x, 0, 0, 0, 2 * pw).transpose(0, 2, 1)
+    per_tap = o >= _TAP_MIN_CHANNELS
+    if per_tap:
+        wt = w.transpose(2, 3, 1, 0)
+        acc, tmp = np.zeros((n, c, m)), np.empty((n, c, m))
+    dw = np.empty(w.shape)
+    for ky in range(kh):
+        for kx in range(kw):
+            off = (kh - 1 - ky) * wp + (kw - 1 - kx)
+            gs = gp[:, :, off:off + m]
+            dw[:, :, ky, kx] = np.matmul(gs, xw).sum(axis=0)
+            if per_tap:
+                acc += np.matmul(wt[ky, kx], gs, out=tmp)
+    if per_tap:
+        dx = acc.reshape(n, c, h, wp)[:, :, :, :wd].copy()
+    else:
+        wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        dx = _conv2d_raw(g, np.ascontiguousarray(wflip), None)
+    return dx, dw
 
 
 # ---------------------------------------------------------------------------

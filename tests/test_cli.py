@@ -62,6 +62,21 @@ class TestEncodeDecode:
                      "--weights", str(wpath)]) == 0
         assert _read_image(out).shape == (16, 16, 3)
 
+    def test_uncodable_range_is_bad_input_exit_2(self, workdir, capsys):
+        # A valid image whose coefficients this model spreads over more
+        # values than the range coder can signal: bad input, not a corrupt
+        # stream.
+        wpath = workdir / "w.iwtw"
+        wpath.write_bytes(save_weights(perturbed_lossy_weights("affine", 2, seed=12)))
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(16, 16, 21))
+        stream = workdir / "s.iwv3"
+        rc = main(["encode", str(src), str(stream), "--mode", "affine",
+                   "--weights", str(wpath)])
+        assert rc == 2
+        assert "model cannot code this image" in capsys.readouterr().err
+        assert not stream.exists()
+
     def test_wrong_weights_checksum_exit_3(self, workdir, capsys):
         weights = perturbed_lossy_weights("additive", 2, seed=5)
         other = perturbed_lossy_weights("additive", 2, seed=6)

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from iwv3 import gradtape as gt
 from iwv3.gradtape import (
@@ -128,6 +131,14 @@ class TestOpGradients:
             n_points=5,
         )
 
+    def test_conv2d_per_tap_dx(self):
+        # 8 output channels: dx takes the per-tap products.
+        check_op_gradient(
+            lambda t: gt.conv2d(t[0], t[1], t[2]),
+            [(2, 3, 5, 6), (8, 3, 3, 3), (8,)],
+            n_points=3,
+        )
+
     def test_floor_const_has_zero_gradient(self):
         tape = Tape()
         x = tape.leaf(np.array([0.3, 1.7, -2.2]), name="x", requires_grad=True)
@@ -160,6 +171,86 @@ class TestOpForward:
         a = gt.conv2d(Tensor(x), Tensor(w)).data
         b = gt.conv2d(Tensor(x), Tensor(w)).data
         assert np.array_equal(a, b)
+
+
+def _window_conv(x, w, b=None):
+    """The window contraction: a tensordot over the padded input's windows."""
+    kh, kw = w.shape[2], w.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    out = np.tensordot(win, w, axes=[(1, 4, 5), (1, 2, 3)])
+    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    if b is not None:
+        out += b[None, :, None, None]
+    return out
+
+
+def _window_conv_grads(x, w, g):
+    """Reference (dx, dw) of a conv, both as window contractions."""
+    kh, kw = w.shape[2], w.shape[3]
+    dx = _window_conv(g, np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return dx, np.tensordot(g, win, axes=[(0, 2, 3), (0, 2, 3)])
+
+
+class TestConvLowering:
+    CHANNELS = (1, 3, 9, 16)
+
+    def test_channel_counts_straddle_the_threshold(self):
+        assert min(self.CHANNELS) < gt._TAP_MIN_CHANNELS <= max(self.CHANNELS)
+
+    @pytest.mark.parametrize("c,o", list(itertools.product(CHANNELS, CHANNELS)))
+    def test_backward_matches_window_contraction(self, c, o):
+        rng = np.random.default_rng(100 * c + o)
+        for k, n, bias in itertools.product((3, 1), (1, 4), (False, True)):
+            x = rng.normal(size=(n, c, 5, 7))
+            w = rng.normal(size=(o, c, k, k))
+            b = rng.normal(size=o) if bias else None
+            g = rng.normal(size=(n, o, 5, 7))
+            tape = Tape()
+            leaves = [tape.leaf(x, name="x", requires_grad=True),
+                      tape.leaf(w, name="w", requires_grad=True)]
+            if bias:
+                leaves.append(tape.leaf(b, name="b", requires_grad=True))
+            grads = tape.backward(gt.tsum(gt.mul(gt.conv2d(*leaves), Tensor(g))))
+            dx, dw = _window_conv_grads(x, w, g)
+            assert np.allclose(grads["x"], dx, rtol=1e-12)
+            assert np.allclose(grads["w"], dw, rtol=1e-12)
+            if bias:
+                assert np.allclose(grads["b"], g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape,o,k", [
+        ((1, 1, 16, 16), 16, 3),
+        ((4, 16, 16, 16), 1, 3),
+        ((4, 16, 16, 16), 16, 3),
+        ((2, 3, 9, 12), 32, 3),
+        ((2, 32, 8, 8), 9, 1),
+    ])
+    def test_forward_is_the_window_contraction_bit_for_bit(self, shape, o, k):
+        # Streams, decoding and eval_rd run this forward; its bits are frozen.
+        rng = np.random.default_rng(shape[1] * 31 + o)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(o, shape[1], k, k))
+        b = rng.normal(size=o)
+        assert np.array_equal(gt.conv2d(Tensor(x), Tensor(w), Tensor(b)).data,
+                              _window_conv(x, w, b))
+        assert np.array_equal(gt.conv2d(Tensor(x), Tensor(w)).data, _window_conv(x, w))
+
+    def test_forward_goes_through_conv2d_raw(self, monkeypatch):
+        # The benchmark's conv table hooks this module attribute by name.
+        calls = []
+        raw = gt._conv2d_raw
+
+        def counting(x, w, b):
+            calls.append((x.shape, w.shape))
+            return raw(x, w, b)
+
+        monkeypatch.setattr(gt, "_conv2d_raw", counting)
+        x, w = RNG.normal(size=(2, 16, 6, 6)), RNG.normal(size=(16, 16, 3, 3))
+        out = gt.conv2d(Tensor(x), Tensor(w))
+        assert calls == [((2, 16, 6, 6), (16, 16, 3, 3))]
+        assert np.array_equal(out.data, raw(x, w, None))
 
 
 class TestBackwardContract:
