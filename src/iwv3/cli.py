@@ -52,7 +52,7 @@ def cmd_encode(args) -> int:
     weights = _load_weights_arg(args.weights)
     start = time.monotonic()
     bs = pipeline.encode_rgb(rgb, weights, args.mode, levels=args.levels,
-                             qstep_offset=args.qstep_offset, threads=args.threads)
+                             qstep_offset=args.qstep_offset)
     packed = bs.pack()
     with open(args.output, "wb") as fh:
         fh.write(packed)
@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--weights", default=None)
     enc.add_argument("--qstep-offset", type=float, default=0.0,
                      help="relative step offset; positive lowers the bitrate")
-    enc.add_argument("--threads", type=int, default=1)
+    enc.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     enc.set_defaults(run=cmd_encode)
 
     dec = sub.add_parser("decode", help="decompress a stream to PPM")

@@ -8,9 +8,12 @@ subband (S_t, masked convolutions) and a stack of previously coded grids
 coefficients go in wavefront order: anti-diagonals x + 2i = t for
 t = 0, 1, ..., rows increasing along each one.  The masked taps of (i, x)
 reach only (i, x-1) and (i-1, x-1..x+1), all on earlier wavefronts, so one
-wavefront is one batch of the context net.  The decoder regenerates
-contexts from its own output, so both sides run the identical per-wavefront
-arithmetic and stay symbol-exact.
+wavefront is one batch of the context net.  The Y, Co and Cg subbands of
+one (level, kind) share shape, qstep, value range and context weights, so
+one batch holds the wavefront of all three channels, laid out (row,
+channel); each channel keeps its own long-term context and range coder.
+The decoder regenerates contexts from its own output, so both sides run the
+identical per-wavefront arithmetic and stay symbol-exact.
 """
 
 from __future__ import annotations
@@ -299,13 +302,18 @@ class SubbandCodec:
     layer for all of its positions.  Only the range-coder calls, and the
     refinement rounds of the decoder's search, are per symbol.
 
-    s and f1 live in rolling buffers indexed by row.  Buffer row r holds,
-    for each wavefront slot, the value of row r-1 (part 0) and of row r
-    (part 1) on that wavefront, zero where the position lies outside the
-    subband, and a constant 1 that carries the layer bias.  A wavefront's
-    rows are consecutive, so all its taps are the one basic slice
-    buf[lo:hi+1]; the slot rotation is folded into the tap weights, one
-    matrix per t mod _SLOTS.
+    A leading channel axis batches B subbands that share shape, qstep,
+    (vmin, vmax) and weights but not values, L_t (B, 3, H, W) or range
+    coder: the image codec runs Y, Co and Cg as B = 3, and the channels do
+    not interact.
+
+    s and f1 live in rolling buffers laid out (row, channel, ...).  Buffer
+    row r holds, per channel and wavefront slot, the value of row r-1
+    (part 0) and of row r (part 1) on that wavefront, zero where the
+    position lies outside the subband, and a constant 1 that carries the
+    layer bias.  A wavefront's rows are consecutive, so all its taps are the
+    one basic slice buf[lo:hi+1], n * B rows ordered (row, channel); the
+    slot rotation is folded into the tap weights, one matrix per t mod _SLOTS.
 
     The encoder and decoder both run `run` with the same per-wavefront
     shapes, so every float operation of the context net happens in the same
@@ -321,71 +329,76 @@ class SubbandCodec:
         self.alphabet = self.vmax - self.vmin + 1
         if self.alphabet > MAX_ALPHABET:
             raise StreamError(f"coefficient range too wide ({self.alphabet})")
-        self.model_bits = 0.0
+        # model bits of the encoded symbols, per channel and summed
+        self.model_bits, self.channel_bits = 0.0, [0.0] * len(l_t)
 
         self._w1, self._w2 = cw["s1.taps"], cw["s2.taps"]
         c = CTX_CHANNELS
-        # L_t branch and its 1x1 head slice are position-independent: fold
-        # them into a per-position bias for the fused head.
-        g = np.maximum(gt._conv2d_raw(l_t[None].astype(np.float64) * CTX_INPUT_SCALE,
-                                      cw["l1.w"], cw["l1.b"]), 0.0)
-        g = np.maximum(gt._conv2d_raw(g, cw["l2.w"], cw["l2.b"]), 0.0)[0]
         h1 = cw["h1.w"][:, :, 0, 0]  # (C, 2C)
         self._h1_s = np.ascontiguousarray(h1[:, :c].T)
-        head_bias = (np.tensordot(h1[:, c:], g, axes=([1], [0]))
-                     + cw["h1.b"][:, None, None])
-        # (H*W, C): the positions of a wavefront are one strided basic slice
-        self._head_bias = np.ascontiguousarray(np.moveaxis(head_bias, 0, -1)).reshape(-1, c)
+        # L_t branch and its 1x1 head slice are position-independent: fold
+        # them into a per-position bias (H*W, B, C) for the fused head.  One
+        # N = 1 conv pair per channel: N = B would multiply _conv2d_raw's 9x
+        # window copy by B.
+        self._head_bias = np.empty((self.h * self.w, len(l_t), c))
+        for ch, lt in enumerate(l_t):
+            g = np.maximum(gt._conv2d_raw(lt[None].astype(np.float64) * CTX_INPUT_SCALE,
+                                          cw["l1.w"], cw["l1.b"]), 0.0)
+            g = np.maximum(gt._conv2d_raw(g, cw["l2.w"], cw["l2.b"]), 0.0)[0]
+            head_bias = (np.tensordot(h1[:, c:], g, axes=([1], [0]))
+                         + cw["h1.b"][:, None, None])
+            self._head_bias[:, ch] = np.moveaxis(head_bias, 0, -1).reshape(-1, c)
+            del g, head_bias  # before the next channel's convs peak
         self._h2 = np.ascontiguousarray(cw["h2.w"][:, :, 0, 0].T)  # (C, 3K)
         self._b_h2 = cw["h2.b"]
 
-    def run(self, rc, values: np.ndarray | None = None) -> np.ndarray:
-        """Encode `values` through rc, or decode from rc when values is None."""
-        encode = values is not None
-        h, w = self.h, self.w
-        out = values if encode else np.zeros((h, w), dtype=np.int32)
-        if self.alphabet == 1:
+    def run(self, rcs, values: np.ndarray | None = None) -> np.ndarray:
+        """Encode (B, H, W) `values`, channel b through rcs[b], or decode them
+        when values is None."""
+        encode, nch = values is not None, len(rcs)
+        h, w, vmin, alphabet = self.h, self.w, self.vmin, self.alphabet
+        if alphabet == 1:
             # Degenerate range: the decoder knows every value already.
-            if not encode:
-                out[:] = self.vmin
-            return out
+            return values if encode else np.full((nch, h, w), vmin, dtype=np.int32)
 
-        vmin, alphabet = self.vmin, self.alphabet
-        flat = np.ascontiguousarray(out).reshape(-1)
+        # (H*W, B): a wavefront's values are one strided slice, (row, channel)
+        flat = (np.moveaxis(values, 0, -1).reshape(-1, nch) if encode
+                else np.zeros((h * w, nch), dtype=np.int32))
         c = CTX_CHANNELS
-        s_buf = np.zeros((h + 1, 2 * _SLOTS + 1))
-        f_buf = np.zeros((h + 1, 2 * _SLOTS * c + 1))
-        s_buf[:, -1] = f_buf[:, -1] = 1.0
-        s_parts = s_buf[:, :-1].reshape(h + 1, 2, _SLOTS)
-        f_parts = f_buf[:, :-1].reshape(h + 1, 2, _SLOTS, c)
+        s_buf = np.zeros((h + 1, nch, 2 * _SLOTS + 1))
+        f_buf = np.zeros((h + 1, nch, 2 * _SLOTS * c + 1))
+        s_buf[..., -1] = f_buf[..., -1] = 1.0
+        s_parts = s_buf[..., :-1].reshape(h + 1, nch, 2, _SLOTS)
+        f_parts = f_buf[..., :-1].reshape(h + 1, nch, 2, _SLOTS, c)
         written = [(0, 0)] * _SLOTS  # buffer rows each slot holds values in
         s_scale = self.qstep * CTX_INPUT_SCALE
         log2_total = math.log2(TOTAL)
-        bits = 0.0
+        bits = self.channel_bits
         first_pts = _search_points(0, alphabet)
         first_k = np.array(first_pts)[None, :]
         with np.errstate(over="ignore"):
             for t in range(w + 2 * h - 2):
                 slot = t % _SLOTS
                 r0, r1 = written[slot]
-                s_parts[r0:r1, :, slot] = 0.0
-                f_parts[r0:r1, :, slot] = 0.0
-                written[slot] = (0, 0)
+                s_parts[r0:r1, :, :, slot] = 0.0
+                f_parts[r0:r1, :, :, slot] = 0.0
                 lo, hi = max(0, (t - w + 2) // 2), min(h - 1, t // 2)
                 n = hi - lo + 1
                 if n <= 0:  # odd wavefronts of a one-column subband
                     continue
+                rows = n * nch
                 # positions (i, t - 2i) sit w - 2 apart in the flat grid; a
                 # wavefront of two or more positions implies w >= 3
                 start = t + lo * (w - 2)
                 diag = slice(start, start + (n - 1) * (w - 2) + 1, w - 2 if n > 1 else 1)
 
-                f1 = np.maximum(s_buf[lo:hi + 1] @ self._w1[slot], 0.0)
-                f_parts[lo:hi + 1, 1, slot] = f1
-                f_parts[lo + 1:hi + 2, 0, slot] = f1
-                f2 = np.maximum(f_buf[lo:hi + 1] @ self._w2[slot], 0.0)
+                f1 = np.maximum(s_buf[lo:hi + 1].reshape(rows, -1) @ self._w1[slot],
+                                0.0).reshape(n, nch, c)
+                f_parts[lo:hi + 1, :, 1, slot] = f1
+                f_parts[lo + 1:hi + 2, :, 0, slot] = f1
+                f2 = np.maximum(f_buf[lo:hi + 1].reshape(rows, -1) @ self._w2[slot], 0.0)
                 p1 = f2 @ self._h1_s
-                p1 += self._head_bias[diag]
+                p1 += self._head_bias[diag].reshape(rows, c)
                 np.maximum(p1, 0.0, out=p1)
                 raw = p1 @ self._h2
                 raw += self._b_h2
@@ -397,59 +410,61 @@ class SubbandCodec:
                 u = raw[:, GMM_K : 2 * GMM_K]
                 sigma = np.maximum(ex[:, 2 * GMM_K :], SIGMA_FLOOR)
 
+                # channel b's symbols are rows b, b + B, ...; its coder
+                # takes them all before the next channel's coder starts
                 if encode:
                     v = flat[diag]
-                    q = quantized_cdf(mw, u, sigma, (v - vmin)[:, None] + _PAIR,
-                                      vmin, alphabet)
-                    for qlo, qhi in q.tolist():
-                        rc.encode(qlo, qhi - qlo)
-                        bits += log2_total - math.log2(qhi - qlo)
+                    q = quantized_cdf(mw, u, sigma, (v.reshape(-1) - vmin)[:, None] + _PAIR,
+                                      vmin, alphabet).tolist()
+                    for ch, rc in enumerate(rcs):
+                        for qlo, qhi in q[ch::nch]:
+                            rc.encode(qlo, qhi - qlo)
+                            bits[ch] += log2_total - math.log2(qhi - qlo)
                 else:
                     table = quantized_cdf(mw, u, sigma, first_k, vmin, alphabet).tolist()
-                    ks = []
-                    for j in range(n):
-                        # fixed-fanout search keeping Q(klo) <= target < Q(khi)
-                        target = rc.decode_target()
-                        klo, khi, qlo, qhi = 0, alphabet, 0, TOTAL
-                        pts, qs = first_pts, table[j]
-                        while True:
-                            m = bisect_right(qs, target)
-                            if m:
-                                klo, qlo = pts[m - 1], qs[m - 1]
-                            if m < len(qs):
-                                khi, qhi = pts[m], qs[m]
-                            if khi - klo == 1:
-                                break
-                            pts = _search_points(klo, khi)
-                            qs = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
-                                               np.array(pts)[None, :], vmin, alphabet)[0].tolist()
-                        rc.consume(qlo, qhi - qlo)
-                        bits += log2_total - math.log2(qhi - qlo)
-                        ks.append(klo)
-                    v = np.array(ks) + vmin
-                    flat[diag] = v
+                    ks = [0] * rows
+                    for ch, rc in enumerate(rcs):
+                        for j in range(ch, rows, nch):
+                            # fixed-fanout search keeping Q(klo) <= target < Q(khi)
+                            target = rc.decode_target()
+                            klo, khi, qlo, qhi = 0, alphabet, 0, TOTAL
+                            pts, qs = first_pts, table[j]
+                            while True:
+                                m = bisect_right(qs, target)
+                                if m:
+                                    klo, qlo = pts[m - 1], qs[m - 1]
+                                if m < len(qs):
+                                    khi, qhi = pts[m], qs[m]
+                                if khi - klo == 1:
+                                    break
+                                pts = _search_points(klo, khi)
+                                qs = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
+                                                   np.array(pts)[None, :], vmin,
+                                                   alphabet)[0].tolist()
+                            rc.consume(qlo, qhi - qlo)
+                            ks[j] = klo
+                    v = flat[diag] = np.array(ks).reshape(n, nch) + vmin
 
                 s = v * s_scale
-                s_parts[lo:hi + 1, 1, slot] = s
-                s_parts[lo + 1:hi + 2, 0, slot] = s
+                s_parts[lo:hi + 1, :, 1, slot] = s
+                s_parts[lo + 1:hi + 2, :, 0, slot] = s
                 written[slot] = (lo, hi + 2)
-        self.model_bits += bits
-        return out
+        self.model_bits = sum(bits)
+        out = values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
+        return np.ascontiguousarray(out)
 
 
 def encode_subband(values, cw, l_t, qstep, vmin, vmax) -> tuple[bytes, float]:
     """Standalone range-coded payload for a single subband, and its model bits."""
     rc = RangeEncoder()
-    codec = SubbandCodec(cw, l_t, qstep, vmin, vmax, values.shape)
-    codec.run(rc, values)
-    payload = rc.finish()
-    return payload, codec.model_bits
+    codec = SubbandCodec(cw, np.asarray(l_t)[None], qstep, vmin, vmax, values.shape)
+    codec.run([rc], np.asarray(values)[None])
+    return rc.finish(), codec.model_bits
 
 
 def decode_subband(payload, cw, l_t, qstep, vmin, vmax, shape) -> np.ndarray:
-    rc = RangeDecoder(payload)
-    codec = SubbandCodec(cw, l_t, qstep, vmin, vmax, shape)
-    return codec.run(rc)
+    codec = SubbandCodec(cw, np.asarray(l_t)[None], qstep, vmin, vmax, shape)
+    return codec.run([RangeDecoder(payload)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,45 +567,46 @@ class Bitstream:
 # Whole-image encode / decode
 # ---------------------------------------------------------------------------
 
-def _lt_stack(grids, shape) -> np.ndarray:
-    out = np.zeros((LT_WIDTH,) + tuple(shape))
-    for idx, g in enumerate(grids):
-        if g is not None:
-            out[idx] = np.asarray(g, dtype=np.float64)
-    return out
+def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
+    """Code the channels' subbands in coding order, one range coder each.
 
-
-def code_channel(rc, bs: Bitstream, ctx_arrays, backend, pyramid=None):
-    """Code one channel's subbands in coding order through one range coder.
-
-    Encodes `pyramid` through a RangeEncoder, or decodes one from a
-    RangeDecoder when `pyramid` is None.  Both directions take the subband
-    shapes and (qstep, vmin, vmax) from the header fields of `bs`, and feed
-    the long-term context the same dequantized grids.  Returns the coded
-    pyramid and the model bits of each subband.
+    Encodes `pyramids` (one per coder, channel b through rcs[b]) through
+    RangeEncoders, or decodes them from RangeDecoders when `pyramids` is
+    None.  Each subband of all channels is one SubbandCodec pass: the
+    channels share the shape and (qstep, vmin, vmax), which both directions
+    take from the header fields of `bs`, and each feeds its own long-term
+    context the same dequantized grids on both sides.  Returns the coded
+    pyramids and, per channel, the encoder's model bits of each subband.
     """
     levels = bs.levels
     ph, pw = padded_geometry(levels, bs.true_width, bs.true_height)
-    ltc = LongTermContext(backend)
-    out = SubbandPyramid(levels, None, [(None, None, None)] * levels)
-    bits = []
+    ltcs = [LongTermContext(backend) for _ in rcs]
+    out = [SubbandPyramid(levels, None, [(None, None, None)] * levels) for _ in rcs]
+    bits = [[] for _ in rcs]
     for (level, kind), (qstep, vmin, vmax) in zip(coding_order(levels), bs.subband_info):
         shape = (ph >> level, pw >> level)
         values = None
-        if pyramid is not None:
-            values = np.asarray(pyramid.get(level, kind), dtype=np.int32)
-            if values.shape != shape:
-                raise ValueError(f"subband {kind}{level} is {values.shape}, "
+        if pyramids is not None:
+            values = np.stack([np.asarray(p.get(level, kind), dtype=np.int32)
+                               for p in pyramids])
+            if values.shape[1:] != shape:
+                raise ValueError(f"subband {kind}{level} is {values.shape[1:]}, "
                                  f"the header geometry gives {shape}")
-        l_t = _lt_stack(ltc.stack_for(level, kind), shape)
+        l_t = np.zeros((len(rcs), LT_WIDTH) + shape)
+        for ch, ltc in enumerate(ltcs):
+            for idx, g in enumerate(ltc.stack_for(level, kind)):
+                if g is not None:  # None is a zero grid
+                    l_t[ch, idx] = g
         codec = SubbandCodec(ctx_arrays[kind], l_t, qstep, vmin, vmax, shape)
         try:
-            values = codec.run(rc, values)
+            values = codec.run(rcs, values)
         except RangeError as err:
-            raise RangeError(f"subband {kind}{level}: {err}") from err
-        out.set(level, kind, values)
-        bits.append(codec.model_bits)
-        ltc.advance(level, kind, dequantize(values, qstep))
+            raise RangeError(f"{err} in subband {kind}{level}") from err
+        for ch, ltc in enumerate(ltcs):
+            out[ch].set(level, kind, values[ch])
+            bits[ch].append(codec.channel_bits[ch])
+            ltc.advance(level, kind, dequantize(values[ch], qstep))
+        del codec  # its head bias must not overlap the next subband's L_t convs
     return out, bits
 
 
@@ -599,7 +615,7 @@ def _context_arrays(weights: ModelWeights) -> dict:
 
 
 def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
-                 true_size, threads: int = 1) -> Bitstream:
+                 true_size) -> Bitstream:
     """Entropy-code three quantized channel pyramids into a bitstream."""
     if len(qpyramids) != 3:
         raise ValueError("expected three channel pyramids")
@@ -625,26 +641,10 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
         info.append((qstep, vmin, vmax))
     tw, th = true_size
     bs = Bitstream(mode, levels, tw, th, weights_checksum(weights), info, [])
-    ctx_arrays = _context_arrays(weights)
-
-    def job(pyr):
-        rc = RangeEncoder()
-        coded, bits = code_channel(rc, bs, ctx_arrays, backend, pyr)
-        return rc.finish(), bits, [coded.get(level, kind).size for level, kind in order]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-            results = list(pool.map(job, qpyramids))
-    else:
-        results = [job(pyr) for pyr in qpyramids]
-
-    bs.stats = {"subband_bits": [], "symbols": []}
-    for payload, bits, symbols in results:
-        bs.payloads.append(payload)
-        bs.stats["subband_bits"] += bits
-        bs.stats["symbols"] += symbols
+    rcs = [RangeEncoder() for _ in qpyramids]
+    _, bits = code_channel(rcs, bs, _context_arrays(weights), backend, qpyramids)
+    bs.payloads = [rc.finish() for rc in rcs]
+    bs.stats = {"subband_bits": [b for ch_bits in bits for b in ch_bits]}
     return bs
 
 
@@ -656,12 +656,9 @@ def decode_image(data, weights: ModelWeights):
             f"stream was written with different weights "
             f"(checksum {bs.weight_checksum:#018x})")
     backend = make_backend(bs.mode, weights=weights)
-    ctx_arrays = _context_arrays(weights)
-    pyramids = []
-    for ch, payload in enumerate(bs.payloads):
-        try:
-            pyr, _ = code_channel(RangeDecoder(payload), bs, ctx_arrays, backend)
-        except RangeError as err:
-            raise StreamError(f"channel {ch} {err}") from err
-        pyramids.append(pyr)
+    try:
+        rcs = [RangeDecoder(p, f"channel {ch} payload") for ch, p in enumerate(bs.payloads)]
+        pyramids, _ = code_channel(rcs, bs, _context_arrays(weights), backend)
+    except RangeError as err:
+        raise StreamError(str(err)) from err
     return bs, pyramids

@@ -31,7 +31,8 @@ def build_quantgrid(weights, mode: str, levels: int, qstep_offset: float = 0.0) 
 
 def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
                qstep_offset: float = 0.0, threads: int = 1) -> Bitstream:
-    """Encode an (H, W, 3) uint8 image into a Bitstream."""
+    """Encode an (H, W, 3) uint8 image into a Bitstream.  `threads` has no
+    effect; it is kept because bench/workloads.py passes it."""
     levels, _, _ = models.validate_weights(weights, mode, levels)
     if mode == "lossless" and levels is None:
         levels = 3
@@ -47,8 +48,7 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
             qpyr.set(level, kind, quantize(pyr.get(level, kind), q))
         qpyramids.append(qpyr)
     return encode_image(qpyramids, grid, weights, mode,
-                        (planes.true_width, planes.true_height),
-                        threads=threads)
+                        (planes.true_width, planes.true_height))
 
 
 def reconstruct(bs: Bitstream, pyramids, weights) -> np.ndarray:

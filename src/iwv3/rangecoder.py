@@ -57,8 +57,9 @@ class RangeEncoder:
 
 
 class RangeDecoder:
-    def __init__(self, data: bytes):
-        self._data = data
+    def __init__(self, data: bytes, name: str = "payload"):
+        """`name` starts the message of every RangeError the decoder raises."""
+        self._data, self._name = data, name
         self._pos = 0
         self._range = _MASK32
         self._code = 0
@@ -67,7 +68,7 @@ class RangeDecoder:
 
     def _next_byte(self) -> int:
         if self._pos >= len(self._data):
-            raise RangeError(f"payload underrun at byte {self._pos}")
+            raise RangeError(f"{self._name} underrun at byte {self._pos}")
         byte = self._data[self._pos]
         self._pos += 1
         return byte
@@ -76,7 +77,9 @@ class RangeDecoder:
         """Cumulative-frequency target of the next symbol, in [0, TOTAL)."""
         self._r = self._range // TOTAL
         target = self._code // self._r
-        return min(target, TOTAL - 1)
+        if target >= TOTAL:  # no encoder leaves the code there
+            raise RangeError(f"{self._name} corrupt before byte {self._pos}")
+        return target
 
     def consume(self, cum: int, freq: int) -> None:
         """Commit the symbol found at the last decode_target call."""

@@ -41,6 +41,14 @@ class TestEncodeDecode:
         assert main(["decode", str(stream), str(out)]) == 0
         assert out.read_bytes() == write_ppm(rgb)
 
+    def test_threads_option_has_no_effect(self, workdir):
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(20, 30, 1))
+        default, threaded = workdir / "a.iwv3", workdir / "b.iwv3"
+        assert main(["encode", str(src), str(default)]) == 0
+        assert main(["encode", str(src), str(threaded), "--threads", "3"]) == 0
+        assert threaded.read_bytes() == default.read_bytes()
+
     def test_lossy_requires_weights(self, workdir, capsys):
         src = workdir / "in.ppm"
         _write_image(src, natural_photo(8, 8, 2))

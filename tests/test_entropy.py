@@ -30,7 +30,7 @@ from iwv3.entropy import (
 from iwv3.gradtape import Tensor
 from iwv3.lifting import Cdf53, SubbandPyramid, forward_pyramid, make_backend
 from iwv3.quant import QuantGrid
-from iwv3.rangecoder import TOTAL
+from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder
 
 
 def _quantized_cum_table(w, u, sigma, vmin: int, vmax: int) -> np.ndarray:
@@ -341,17 +341,43 @@ class TestSubbandCodec:
     def test_round_trip_at_alphabet_cap(self):
         cw, _, l_t, _, _ = _subband_setup(15, shape=(5, 6))
         vmin, vmax = -16384, 16383
-        assert SubbandCodec(cw, l_t, 1.0, vmin, vmax, (5, 6)).alphabet == TOTAL // 2
+        assert SubbandCodec(cw, l_t[None], 1.0, vmin, vmax, (5, 6)).alphabet == TOTAL // 2
         values = np.random.default_rng(16).integers(vmin, vmax + 1, (5, 6)).astype(np.int32)
         values[0, 0], values[0, 5], values[4, 0], values[4, 5] = vmin, vmax, vmax, vmin
         payload, _ = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
         out = decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape)
         assert np.array_equal(out, values)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 3), (3, 17),
+                                       (20, 31)])
+    def test_channel_batch_matches_single_channels(self, shape):
+        rng = np.random.default_rng(60)
+        cw = extract_context_arrays(random_ctx_weights(60), "HL")
+        # three channels with their own values, spreads and L_t stacks
+        values = rng.integers(-6, 7, (3,) + shape).astype(np.int32)
+        values[1] //= 3
+        values[2] = np.clip(values[2] + 2, -6, 6)
+        l_t = rng.normal(0, 4, (3, 3) + shape) * np.array([1.0, 0.5, 2.0])[:, None, None, None]
+        vmin, vmax = int(values.min()) - 1, int(values.max()) + 1
+        rcs = [RangeEncoder() for _ in range(3)]
+        codec = SubbandCodec(cw, l_t, 1.5, vmin, vmax, shape)
+        codec.run(rcs, values)
+        payloads = [rc.finish() for rc in rcs]
+        decoded = SubbandCodec(cw, l_t, 1.5, vmin, vmax, shape).run(
+            [RangeDecoder(p) for p in payloads])
+        assert np.array_equal(decoded, values)
+        single_bits = []
+        for ch in range(3):
+            assert 8 * len(payloads[ch]) <= codec.channel_bits[ch] * 1.01 + 64
+            _, bits = encode_subband(values[ch], cw, l_t[ch], 1.5, vmin, vmax)
+            assert codec.channel_bits[ch] == pytest.approx(bits, rel=1e-9)
+            single_bits.append(bits)
+        assert codec.model_bits == pytest.approx(sum(single_bits), rel=1e-9)
+
     def test_range_too_wide_rejected(self):
         cw, _, l_t, _, _ = _subband_setup(14, shape=(2, 2))
         with pytest.raises(StreamError, match="too wide"):
-            SubbandCodec(cw, l_t[:, :2, :2], 1.0, -40000, 40000, (2, 2))
+            SubbandCodec(cw, l_t[None, :, :2, :2], 1.0, -40000, 40000, (2, 2))
 
 
 def _quantized_pyramids(levels, size, seed, spread=20):
@@ -401,14 +427,6 @@ class TestImageCodec:
         assert payload_bits <= model_bits * 1.01 + 64 * 3
         assert payload_bits >= model_bits - 3
 
-    def test_threads_produce_identical_stream(self):
-        weights = random_ctx_weights(35)
-        pyrs = _quantized_pyramids(2, 16, seed=36)
-        grid = QuantGrid.uniform(2, 1.0)
-        a = encode_image(pyrs, grid, weights, "lossless", (16, 16)).pack()
-        b = encode_image(pyrs, grid, weights, "lossless", (16, 16), threads=3).pack()
-        assert a == b
-
     def test_checksum_mismatch_rejected(self):
         weights = random_ctx_weights(37)
         pyrs = _quantized_pyramids(1, 8, seed=38)
@@ -439,6 +457,26 @@ class TestImageCodec:
                           weights, "lossless", (8, 8))
         bs.payloads[1] = bs.payloads[1][:2]
         with pytest.raises(StreamError, match="channel 1"):
+            decode_image(bs.pack(), weights)
+
+    def test_midstream_underrun_names_channel(self):
+        weights = models.default_weights()
+        bs = encode_image(_quantized_pyramids(2, 32, seed=45), QuantGrid.uniform(2, 1.0),
+                          weights, "lossless", (32, 32))
+        assert len(bs.payloads[2]) // 2 > 4  # the coder state itself is intact
+        bs.payloads[2] = bs.payloads[2][: len(bs.payloads[2]) // 2]
+        with pytest.raises(StreamError, match="channel 2") as info:
+            decode_image(bs.pack(), weights)
+        assert "subband" in str(info.value)  # raised by the scan, not on setup
+
+    def test_random_payload_is_stream_error(self):
+        # random payloads soon put the decoder's code outside every symbol's
+        # interval; that is reported instead of decoding garbage ever slower
+        weights = models.default_weights()
+        rng = np.random.default_rng(47)
+        bs = Bitstream("lossless", 3, 64, 64, weights_checksum(weights),
+                       [(1.0, -16384, 16383)] * 10, [rng.bytes(1 << 16) for _ in range(3)])
+        with pytest.raises(StreamError, match="corrupt"):
             decode_image(bs.pack(), weights)
 
     def test_corrupt_payload_detected(self):

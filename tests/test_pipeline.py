@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ from conftest import natural_photo, perturbed_lossy_weights
 
 
 class TestLossless:
+    def test_golden_stream(self):
+        # The SHA-256 of one lossless stream under the built-in weights.  It
+        # may change only together with entropy.STREAM_VERSION.
+        packed = pipeline.encode_rgb(natural_photo(40, 56, 3), models.default_weights(),
+                                     "lossless").pack()
+        assert hashlib.sha256(packed).hexdigest() == (
+            "f82b59f6fef387e4e041e7f8c1ef567f36127e4bbbfe7be8d108b465ba09a503")
+
     def test_round_trip_byte_identical(self):
         rng = np.random.default_rng(0)
         weights = models.default_weights()

@@ -91,6 +91,14 @@ class TestRangeCoder:
         with pytest.raises(RangeError, match="byte"):
             decode_all(payload[: len(payload) // 3], cum, 500)
 
+    def test_code_outside_every_interval_is_corrupt(self):
+        # A code at or above (range // TOTAL) * TOTAL lies in no symbol's
+        # interval, and no encoder writes one; decoding on would let the
+        # code register grow without bound.
+        rc = RangeDecoder(b"\xff" * 8)
+        with pytest.raises(RangeError, match="corrupt"):
+            rc.decode(np.array([0, TOTAL // 2, TOTAL]))
+
     def test_empty_stream_decodes_nothing(self):
         rc = RangeEncoder()
         payload = rc.finish()
