@@ -1,8 +1,9 @@
 """Command-line interface: encode, decode, train, optimize, inspect.
 
 Exit codes: 0 ok, 2 bad input, 3 weights mismatch, 4 I/O failure,
-5 corrupt stream, 6 non-finite training loss.  Stats go to stdout as
-space-separated key=value pairs; diagnostics go to stderr, one line.
+5 corrupt stream (or one too large to decode in memory), 6 non-finite
+training loss.  Stats go to stdout as space-separated key=value pairs;
+diagnostics go to stderr, one line.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     weights = _load_weights_arg(args.weights)
-    rgb = pipeline.decode_bytes(data, weights)
+    try:
+        rgb = pipeline.decode_bytes(data, weights)
+    except MemoryError as err:
+        raise StreamError(f"out of memory decoding the stream: {err}") from None
     with open(args.output, "wb") as fh:
         fh.write(write_ppm(rgb))
     print(f"width={rgb.shape[1]} height={rgb.shape[0]}")

@@ -7,14 +7,19 @@ network code serves both training and plain inference.
 
 Values are float64 throughout; weight files store float32 little-endian.
 
-Convolution.  The forward product, `_conv2d_raw`, contracts a
-`sliding_window_view` of the padded input with one `tensordot`.  Its bits
-are frozen: streams, decoding and `eval_rd` all run it, and the affine
-transform's forward/inverse round trip is sensitive to its last bit (one-ulp
-nudges of a 16x16 test pyramid's LL band move the round-trip error from
-5e-8 to a median of 4.5e-5, against the acceptance bound of 1e-4), so
-another summation order (per-tap, im2col) is not a free change even though
-each conv moves by only ~1e-15 relative.
+Convolution.  The forward product, `_conv2d_raw`, is one `np.dot` of the
+(N*H*W, C*kh*kw) window matrix with the (C*kh*kw, O) weight matrix (im2col):
+the operands, layout and call of `np.tensordot` over a `sliding_window_view`
+of the padded input, so every output bit is the same.  Only the copy
+differs: each kernel row of kw samples moves as one void element, and where
+tensordot would pass a strided view instead of a copy (1x1 kernels at
+N = 1, 1x1 planes) that view is passed.  The bits are frozen: streams,
+decoding and `eval_rd` all run this product, and the affine transform's
+round trip is sensitive to its last bit (one-ulp nudges of a 16x16 test
+pyramid's LL band move the round-trip error from 5e-8 to a median of
+4.5e-5, against the acceptance bound of 1e-4), so another summation order
+(per-tap) is not a free change even though each conv moves by only ~1e-15
+relative.
 
 The backward products feed no stream and are lowered to one GEMM per kernel
 tap (accumulating kn2row): the upstream gradient g (N, O, H, W) is
@@ -33,7 +38,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr as _ndtr
 
 # Raw affine scales are clamped before exponentiation so that e^raw stays in
@@ -340,12 +344,31 @@ def slice_channels(a, lo: int, hi: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _conv2d_raw(x, w, b):
-    kh, kw = w.shape[2], w.shape[3]
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    out = np.tensordot(win, w, axes=[(1, 4, 5), (1, 2, 3)])
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    m, k = n * h * wd, c * kh * kw
+    out = np.empty((n, o, h, wd))
+    # Laid out as np.pad lays it out, so the window view has tensordot's strides.
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), x.dtype,
+                  order="F" if x.flags.fnc else "C")
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    sn, sc, sh, sw = xp.strides
+    win = np.ndarray((n, h, wd, c, kh, kw), xp.dtype, xp,
+                     strides=(sn, sh, sw, sc, sh, sw))
+    try:
+        a = win.reshape(m, k, copy=False)  # where tensordot passes a view
+    except ValueError:
+        # The C-ordered copy tensordot would make, moved one kernel row at a
+        # time: kw adjacent samples of a C-ordered pad are one void element.
+        xp = np.ascontiguousarray(xp)
+        sn, sc, sh, sw = xp.strides
+        row = np.dtype(f"V{kw * xp.itemsize}")
+        rows = np.ndarray((n, h, wd, c, kh), row, xp, strides=(sn, sh, sw, sc, sh))
+        a = np.empty((m, k), xp.dtype)
+        a.view(row).reshape(rows.shape)[...] = rows
+    res = np.dot(a, w.transpose(1, 2, 3, 0).reshape(k, o))
+    out[...] = res.reshape(n, h, wd, o).transpose(0, 3, 1, 2)
     if b is not None:
         out += b[None, :, None, None]
     return out

@@ -28,6 +28,18 @@ def _read_image(path):
     return read_ppm(path.read_bytes())
 
 
+def _decode_in_subprocess(stream, out, address_space):
+    """Run `iwv3 decode` with its address space limited to the given bytes."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2)
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "iwv3.cli", "decode", str(stream), str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_address_space)
+
+
 class TestEncodeDecode:
     def test_lossless_cycle_byte_identical(self, workdir, capsys):
         rgb = natural_photo(20, 30, 1)
@@ -201,19 +213,28 @@ class TestInspect:
         bs = Bitstream.unpack(stream.read_bytes())
         bs.true_width = bs.true_height = 60000
         stream.write_bytes(bs.pack())
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
-
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "iwv3.cli", "decode", str(stream),
-             str(workdir / "b.ppm")],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=limit_address_space)
+        proc = _decode_in_subprocess(stream, workdir / "b.ppm", 2_000_000 * 1024)
         assert proc.returncode == 5, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "cap" in proc.stderr
+
+    def test_out_of_memory_decoding_exit_5(self, workdir, capsys):
+        # Under the geometry cap, but the L_t branch of a 1024x1024 subband
+        # needs more memory than the limit allows.
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(16, 16, 12))
+        stream = workdir / "s.iwv3"
+        assert main(["encode", str(src), str(stream), "--levels", "1"]) == 0
+        bs = Bitstream.unpack(stream.read_bytes())
+        bs.true_width = bs.true_height = 2048
+        rng = np.random.default_rng(7)
+        bs.payloads = [rng.bytes(64) for _ in bs.payloads]
+        stream.write_bytes(bs.pack())
+        proc = _decode_in_subprocess(stream, workdir / "b.ppm", 1_500_000 * 1024)
+        assert proc.returncode == 5, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "memory" in proc.stderr
 
     def test_corrupt_magic_exit_5(self, workdir, capsys):
         bad = workdir / "bad.iwv3"

@@ -8,6 +8,7 @@ from iwv3.entropy import coding_order, decode_image
 from iwv3.imageio import ImagePlanes
 from iwv3.lifting import forward_pyramid, make_backend
 from iwv3.quant import quantize
+from iwv3.training import TrainConfig, eval_rd
 
 from conftest import natural_photo, perturbed_lossy_weights
 
@@ -60,6 +61,35 @@ def assert_decodes_encoder_quantization(rgb, weights, mode, steps):
 
 
 class TestLossy:
+    @pytest.mark.parametrize("mode, stream_sha, image_sha", [
+        ("additive", "9edcd7feb24158a2e4ba943812d2b7c2cc2b54c450a34834e6090d22cc5b9999",
+         "be593d7fcbdf176ecae9ba781d384dab1f0ab318b8219c9fa9473131df158da1"),
+        ("affine", "00447c03fbd971a16af3f28637d6549fd7af5b75d6e16a48b5e2bc9ac1a2a3d4",
+         "e86e53e7125bb2fa4c529f4f3a58f6365a5507d108b91dbc98a04e9ca70db93e"),
+    ])
+    def test_golden_lossy_stream_and_image(self, mode, stream_sha, image_sha):
+        # Every lifting, post-filter and L_t conv feeds these bits, so they
+        # pin the forward conv end to end.  They may change only together
+        # with entropy.STREAM_VERSION.
+        weights = perturbed_lossy_weights(mode, 2, seed=4)
+        packed = pipeline.encode_rgb(natural_photo(40, 56, 3), weights, mode).pack()
+        assert hashlib.sha256(packed).hexdigest() == stream_sha
+        image = pipeline.decode_bytes(packed, weights)
+        assert hashlib.sha256(image.tobytes()).hexdigest() == image_sha
+
+    @pytest.mark.parametrize("mode, expect", [
+        ("additive", (4.74635830948628, 4.760137643761105, 4.9843651916743354)),
+        ("affine", (4.191498480261597, 19.301149229195836, 5.156555941721389)),
+    ])
+    def test_golden_eval_rd(self, mode, expect):
+        # eval_rd runs the context net as full-grid convs, which the codec
+        # does not; its floats are pinned exactly.
+        planes = [np.asarray(p, dtype=np.float64)
+                  for p in ImagePlanes.from_rgb(natural_photo(32, 32, 1), 2).planes]
+        report = eval_rd(perturbed_lossy_weights(mode, 2, seed=4), planes,
+                         TrainConfig(mode=mode))
+        assert (report.bpp, report.l_obj, report.total) == expect
+
     @pytest.mark.parametrize("mode", ["additive", "affine"])
     def test_decode_matches_encoder_quantization(self, mode):
         rng = np.random.default_rng(1)
