@@ -13,7 +13,9 @@ one (level, kind) share shape, qstep, value range and context weights, so
 one batch holds the wavefront of all three channels, laid out (row,
 channel); each channel keeps its own long-term context and range coder.
 The decoder regenerates contexts from its own output, so both sides run the
-identical per-wavefront arithmetic and stay symbol-exact.
+identical per-wavefront arithmetic and stay symbol-exact.  A context net
+whose head weights are zero (the built-in lossless model) is a static
+prior: its subbands are coded against one table, and the net never runs.
 """
 
 from __future__ import annotations
@@ -268,7 +270,10 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
 
     "s1.taps" and "s2.taps" hold the masked S_t layers in SubbandCodec's
     rolling-buffer order, one matrix per slot t mod _SLOTS: rows indexed by
-    (part, wavefront slot, input channel), then the bias row.
+    (part, wavefront slot, input channel), then the bias row.  "static" is
+    True when both head weights h1.w and h2.w are all zero: the head then
+    outputs h2.b at every position, whatever the S_t and L_t branches feed
+    it, and SubbandCodec codes the subband with one table.
     """
     p = ctx_prefix(kind)
     cw = {}
@@ -289,11 +294,42 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
     bias2 = np.broadcast_to(cw["s2.b"], (_SLOTS, 1, c))
     cw["s1.taps"] = np.concatenate([taps1.reshape(_SLOTS, -1, c), bias1], axis=1)
     cw["s2.taps"] = np.concatenate([taps2.reshape(_SLOTS, -1, c), bias2], axis=1)
+    cw["static"] = not (cw["h1.w"].any() or cw["h2.w"].any())
     return cw
 
 
+def _wavefronts(h: int, w: int):
+    """(t, lo, hi, diag) for t = 0 ... w + 2h - 3: wavefront t holds rows
+    lo..hi, at the flat (H*W) positions `diag`; diag is None when it holds
+    none (odd wavefronts of a one-column subband)."""
+    for t in range(w + 2 * h - 2):
+        lo, hi = max(0, (t - w + 2) // 2), min(h - 1, t // 2)
+        n = hi - lo + 1
+        if n <= 0:
+            yield t, lo, hi, None
+            continue
+        # positions (i, t - 2i) sit w - 2 apart in the flat grid; a
+        # wavefront of two or more positions implies w >= 3
+        start = t + lo * (w - 2)
+        yield t, lo, hi, slice(start, start + (n - 1) * (w - 2) + 1, w - 2 if n > 1 else 1)
+
+
+def _mixture(raw: np.ndarray):
+    """(n, 3K) head outputs -> (n, K) mixture weights, means and stds.
+
+    Overwrites raw's weight logits.  Every operation is elementwise or
+    reduces one row, so a row gives the same bits in any batch.
+    """
+    rw = raw[:, :GMM_K]
+    rw -= rw.max(axis=1, keepdims=True)
+    ex = np.exp(raw)
+    e = ex[:, :GMM_K]
+    mw = e / e.sum(axis=1, keepdims=True)
+    return mw, raw[:, GMM_K : 2 * GMM_K], np.maximum(ex[:, 2 * GMM_K :], SIGMA_FLOOR)
+
+
 class SubbandCodec:
-    """Wavefront-parallel evaluation of the context net plus range coding.
+    """Range coding of a subband under the context net, by wavefronts.
 
     Coefficient (i, x) lies on wavefront t = x + 2i.  Its masked taps read
     s (the scaled decoded values) and f1 (the first S_t layer) at
@@ -319,9 +355,18 @@ class SubbandCodec:
     shapes, so every float operation of the context net happens in the same
     order on both sides; that is what guarantees symbol-exact
     synchronization.
+
+    Static prior: when the head weights are zero (cw["static"], as in the
+    built-in lossless model), the head's products sum to zero and its
+    output is h2.b at every position, so every position has the one
+    mixture and the one CDF table.  The codec then builds that table once,
+    skips the context net and the L_t branch (l_t may be None), and codes
+    the symbols in the same wavefront order: the same symbols, bytes and
+    model bits as the context net gives whenever its activations are
+    finite.
     """
 
-    def __init__(self, cw: dict, l_t: np.ndarray, qstep: float,
+    def __init__(self, cw: dict, l_t: np.ndarray | None, qstep: float,
                  vmin: int, vmax: int, shape):
         self.h, self.w = shape
         self.qstep = float(qstep)
@@ -329,8 +374,11 @@ class SubbandCodec:
         self.alphabet = self.vmax - self.vmin + 1
         if self.alphabet > MAX_ALPHABET:
             raise StreamError(f"coefficient range too wide ({self.alphabet})")
-        # model bits of the encoded symbols, per channel and summed
-        self.model_bits, self.channel_bits = 0.0, [0.0] * len(l_t)
+        # model bits of the encoded symbols, per channel (set by run) and summed
+        self.model_bits, self.channel_bits = 0.0, []
+        self._static, self._b_h2 = cw["static"], cw["h2.b"]
+        if self._static:
+            return  # no context net to set up
 
         self._w1, self._w2 = cw["s1.taps"], cw["s2.taps"]
         c = CTX_CHANNELS
@@ -350,20 +398,61 @@ class SubbandCodec:
             self._head_bias[:, ch] = np.moveaxis(head_bias, 0, -1).reshape(-1, c)
             del g, head_bias  # before the next channel's convs peak
         self._h2 = np.ascontiguousarray(cw["h2.w"][:, :, 0, 0].T)  # (C, 3K)
-        self._b_h2 = cw["h2.b"]
 
     def run(self, rcs, values: np.ndarray | None = None) -> np.ndarray:
         """Encode (B, H, W) `values`, channel b through rcs[b], or decode them
         when values is None."""
         encode, nch = values is not None, len(rcs)
-        h, w, vmin, alphabet = self.h, self.w, self.vmin, self.alphabet
-        if alphabet == 1:
+        h, w = self.h, self.w
+        self.channel_bits = [0.0] * nch
+        if self.alphabet == 1:
             # Degenerate range: the decoder knows every value already.
-            return values if encode else np.full((nch, h, w), vmin, dtype=np.int32)
+            return values if encode else np.full((nch, h, w), self.vmin, dtype=np.int32)
 
         # (H*W, B): a wavefront's values are one strided slice, (row, channel)
         flat = (np.moveaxis(values, 0, -1).reshape(-1, nch) if encode
                 else np.zeros((h * w, nch), dtype=np.int32))
+        if self._static:
+            self._run_static(rcs, flat, encode)
+        else:
+            self._run_wavefronts(rcs, flat, encode)
+        self.model_bits = sum(self.channel_bits)
+        out = values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
+        return np.ascontiguousarray(out)
+
+    def _run_static(self, rcs, flat: np.ndarray, encode: bool) -> None:
+        """Code `flat` in wavefront order against the one table of h2.b."""
+        vmin, alphabet, bits = self.vmin, self.alphabet, self.channel_bits
+        with np.errstate(over="ignore"):
+            mw, u, sigma = _mixture(self._b_h2.astype(np.float64)[None])
+        cum = quantized_cdf(mw, u, sigma, np.arange(alphabet + 1)[None], vmin,
+                            alphabet)[0].tolist()
+        freq = [qhi - qlo for qlo, qhi in zip(cum, cum[1:])]
+        if encode:
+            # a non-finite h2.b can leave a symbol no width; rc.encode then
+            # refuses it before its cost is added
+            log2_total = math.log2(TOTAL)
+            cost = [log2_total - math.log2(f) if f > 0 else math.inf for f in freq]
+        for _, lo, hi, diag in _wavefronts(self.h, self.w):
+            if diag is None:
+                continue
+            if encode:
+                ks = (flat[diag] - vmin).T.tolist()  # (B, n)
+                for ch, rc in enumerate(rcs):
+                    b = bits[ch]
+                    for k in ks[ch]:
+                        rc.encode(cum[k], freq[k])
+                        b += cost[k]
+                    bits[ch] = b
+            else:
+                n = hi - lo + 1
+                ks = [[rc.decode(cum) for _ in range(n)] for rc in rcs]
+                flat[diag] = np.array(ks).T + vmin
+
+    def _run_wavefronts(self, rcs, flat: np.ndarray, encode: bool) -> None:
+        """Code `flat` wavefront by wavefront, one context-net batch each."""
+        nch = len(rcs)
+        h, vmin, alphabet = self.h, self.vmin, self.alphabet
         c = CTX_CHANNELS
         s_buf = np.zeros((h + 1, nch, 2 * _SLOTS + 1))
         f_buf = np.zeros((h + 1, nch, 2 * _SLOTS * c + 1))
@@ -377,20 +466,15 @@ class SubbandCodec:
         first_pts = _search_points(0, alphabet)
         first_k = np.array(first_pts)[None, :]
         with np.errstate(over="ignore"):
-            for t in range(w + 2 * h - 2):
+            for t, lo, hi, diag in _wavefronts(h, self.w):
                 slot = t % _SLOTS
                 r0, r1 = written[slot]
                 s_parts[r0:r1, :, :, slot] = 0.0
                 f_parts[r0:r1, :, :, slot] = 0.0
-                lo, hi = max(0, (t - w + 2) // 2), min(h - 1, t // 2)
-                n = hi - lo + 1
-                if n <= 0:  # odd wavefronts of a one-column subband
+                if diag is None:
                     continue
+                n = hi - lo + 1
                 rows = n * nch
-                # positions (i, t - 2i) sit w - 2 apart in the flat grid; a
-                # wavefront of two or more positions implies w >= 3
-                start = t + lo * (w - 2)
-                diag = slice(start, start + (n - 1) * (w - 2) + 1, w - 2 if n > 1 else 1)
 
                 f1 = np.maximum(s_buf[lo:hi + 1].reshape(rows, -1) @ self._w1[slot],
                                 0.0).reshape(n, nch, c)
@@ -402,13 +486,7 @@ class SubbandCodec:
                 np.maximum(p1, 0.0, out=p1)
                 raw = p1 @ self._h2
                 raw += self._b_h2
-                rw = raw[:, :GMM_K]
-                rw -= rw.max(axis=1, keepdims=True)
-                ex = np.exp(raw)
-                e = ex[:, :GMM_K]
-                mw = e / e.sum(axis=1, keepdims=True)
-                u = raw[:, GMM_K : 2 * GMM_K]
-                sigma = np.maximum(ex[:, 2 * GMM_K :], SIGMA_FLOOR)
+                mw, u, sigma = _mixture(raw)
 
                 # channel b's symbols are rows b, b + B, ...; its coder
                 # takes them all before the next channel's coder starts
@@ -449,9 +527,6 @@ class SubbandCodec:
                 s_parts[lo:hi + 1, :, 1, slot] = s
                 s_parts[lo + 1:hi + 2, :, 0, slot] = s
                 written[slot] = (lo, hi + 2)
-        self.model_bits = sum(bits)
-        out = values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
-        return np.ascontiguousarray(out)
 
 
 def encode_subband(values, cw, l_t, qstep, vmin, vmax) -> tuple[bytes, float]:
@@ -592,12 +667,14 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
             if values.shape[1:] != shape:
                 raise ValueError(f"subband {kind}{level} is {values.shape[1:]}, "
                                  f"the header geometry gives {shape}")
-        l_t = np.zeros((len(rcs), LT_WIDTH) + shape)
-        for ch, ltc in enumerate(ltcs):
-            for idx, g in enumerate(ltc.stack_for(level, kind)):
-                if g is not None:  # None is a zero grid
-                    l_t[ch, idx] = g
-        codec = SubbandCodec(ctx_arrays[kind], l_t, qstep, vmin, vmax, shape)
+        cw, l_t = ctx_arrays[kind], None
+        if not cw["static"]:  # a static head never reads L_t
+            l_t = np.zeros((len(rcs), LT_WIDTH) + shape)
+            for ch, ltc in enumerate(ltcs):
+                for idx, g in enumerate(ltc.stack_for(level, kind)):
+                    if g is not None:  # None is a zero grid
+                        l_t[ch, idx] = g
+        codec = SubbandCodec(cw, l_t, qstep, vmin, vmax, shape)
         try:
             values = codec.run(rcs, values)
         except RangeError as err:

@@ -110,7 +110,9 @@ def default_weights() -> ModelWeights:
 
     All convolutions are zero; the output bias encodes a three-sigma ladder
     so the static prior puts usable mass on small, medium, and large
-    coefficients.
+    coefficients.  With the head (h1.w, h2.w) zero, `entropy.SubbandCodec`
+    codes every subband against the one table of that prior, without
+    evaluating the context net.
     """
     weights = ModelWeights()
     for kind in SUBBAND_KINDS:

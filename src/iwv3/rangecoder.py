@@ -8,6 +8,8 @@ total overhead beyond the information content is at most ~4 bytes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 TOTAL_BITS = 16
 TOTAL = 1 << TOTAL_BITS
 _TOP = 1 << 24
@@ -93,12 +95,7 @@ class RangeDecoder:
     def decode(self, cum_table) -> int:
         """Decode against a full cumulative table (cum_table[i+1] > cum_table[i])."""
         target = self.decode_target()
-        lo, hi = 0, len(cum_table) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cum_table[mid] <= target:
-                lo = mid
-            else:
-                hi = mid
+        # the last lo in [0, len - 2] with cum_table[lo] <= target (0 if none)
+        lo = bisect_right(cum_table, target, 1, len(cum_table) - 1) - 1
         self.consume(cum_table[lo], cum_table[lo + 1] - cum_table[lo])
         return lo

@@ -28,14 +28,14 @@ def _read_image(path):
     return read_ppm(path.read_bytes())
 
 
-def _decode_in_subprocess(stream, out, address_space):
+def _decode_in_subprocess(stream, out, address_space, *options):
     """Run `iwv3 decode` with its address space limited to the given bytes."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2)
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, "-m", "iwv3.cli", "decode", str(stream), str(out)],
+        [sys.executable, "-m", "iwv3.cli", "decode", str(stream), str(out), *options],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=limit_address_space)
 
@@ -218,23 +218,44 @@ class TestInspect:
         assert "Traceback" not in proc.stderr
         assert "cap" in proc.stderr
 
-    def test_out_of_memory_decoding_exit_5(self, workdir, capsys):
-        # Under the geometry cap, but the L_t branch of a 1024x1024 subband
-        # needs more memory than the limit allows.
+    @staticmethod
+    def _forge_2048_stream(workdir, *options):
+        """A 16x16 lossless stream, its header forged to 2048x2048 at one
+        level and its payloads to 64 random bytes each."""
         src = workdir / "in.ppm"
         _write_image(src, natural_photo(16, 16, 12))
         stream = workdir / "s.iwv3"
-        assert main(["encode", str(src), str(stream), "--levels", "1"]) == 0
+        assert main(["encode", str(src), str(stream), "--levels", "1", *options]) == 0
         bs = Bitstream.unpack(stream.read_bytes())
         bs.true_width = bs.true_height = 2048
         rng = np.random.default_rng(7)
         bs.payloads = [rng.bytes(64) for _ in bs.payloads]
         stream.write_bytes(bs.pack())
-        proc = _decode_in_subprocess(stream, workdir / "b.ppm", 1_500_000 * 1024)
+        return stream
+
+    def test_out_of_memory_decoding_exit_5(self, workdir, capsys):
+        # Under the geometry cap, but the L_t branch of a 1024x1024 subband
+        # needs more memory than the limit allows: the weights' context
+        # heads are active, so the codec runs it.
+        wpath = workdir / "ctx.iwtw"
+        wpath.write_bytes(save_weights(models.init_weights("lossless", 1, seed=7)))
+        stream = self._forge_2048_stream(workdir, "--weights", str(wpath))
+        proc = _decode_in_subprocess(stream, workdir / "b.ppm", 1_500_000 * 1024,
+                                     "--weights", str(wpath))
         assert proc.returncode == 5, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "memory" in proc.stderr
+
+    def test_builtin_model_decodes_forged_geometry_in_bounded_memory(self, workdir, capsys):
+        # The built-in model's static prior needs no L_t branch: the same
+        # forged stream runs out of payload, not of memory.
+        stream = self._forge_2048_stream(workdir)
+        proc = _decode_in_subprocess(stream, workdir / "b.ppm", 1_500_000 * 1024)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "payload" in proc.stderr
+        assert "memory" not in proc.stderr
 
     def test_corrupt_magic_exit_5(self, workdir, capsys):
         bad = workdir / "bad.iwv3"

@@ -28,9 +28,9 @@ from iwv3.entropy import (
     weights_checksum,
 )
 from iwv3.gradtape import Tensor
-from iwv3.lifting import Cdf53, SubbandPyramid, forward_pyramid, make_backend
+from iwv3.lifting import SUBBAND_KINDS, Cdf53, SubbandPyramid, forward_pyramid, make_backend
 from iwv3.quant import QuantGrid
-from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder
+from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
 
 
 def _quantized_cum_table(w, u, sigma, vmin: int, vmax: int) -> np.ndarray:
@@ -55,6 +55,11 @@ def random_ctx_weights(seed, scale=0.05):
         arr = weights.get(name)
         weights.set(name, arr + rng.normal(0, scale, arr.shape))
     return weights
+
+
+def builtin_ctx_weights(seed):
+    """The built-in static-prior model; `seed` is ignored."""
+    return models.default_weights()
 
 
 class TestCodingOrder:
@@ -259,9 +264,9 @@ class TestQuantizedCdf:
             assert row.tolist() == table[j, pts].tolist()
 
 
-def _subband_setup(seed, shape=(12, 10), spread=6, kind="HL"):
+def _subband_setup(seed, shape=(12, 10), spread=6, kind="HL", make_weights=random_ctx_weights):
     rng = np.random.default_rng(seed)
-    weights = random_ctx_weights(seed)
+    weights = make_weights(seed)
     cw = extract_context_arrays(weights, kind)
     values = rng.integers(-spread, spread + 1, shape).astype(np.int32)
     l_t = rng.normal(0, 4, (3,) + shape)
@@ -280,22 +285,60 @@ def _full_grid_bits(weights, kind, values, l_t, qstep, vmin, vmax):
     return float(np.sum(np.log2(TOTAL) - np.log2(q[:, 1] - q[:, 0])))
 
 
-class TestSubbandCodec:
+class SubbandPathChecks:
+    """Subband tests run on both coding paths: each subclass picks the
+    context weights `make_weights(seed)`, and so the path."""
+
+    make_weights = None
+
+    def test_round_trip_wide_alphabet(self):
+        # an alphabet wider than SEARCH_FANOUT takes refinement rounds
+        cw, _, l_t, _, _ = _subband_setup(11, shape=(6, 6),
+                                       make_weights=self.make_weights)
+        rng = np.random.default_rng(12)
+        values = rng.integers(-400, 401, (6, 6)).astype(np.int32)
+        payload, _ = encode_subband(values, cw, l_t, 1.0, -400, 400)
+        out = decode_subband(payload, cw, l_t, 1.0, -400, 400, values.shape)
+        assert np.array_equal(out, values)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 3), (3, 17)])
+    def test_wavefront_edge_shapes(self, shape):
+        for seed in range(3):
+            cw, values, l_t, vmin, vmax = _subband_setup(50 + seed, shape=shape,
+                                                         make_weights=self.make_weights)
+            vmin, vmax = vmin - 1, vmax + 1  # keep the alphabet above one symbol
+            payload, bits = encode_subband(values, cw, l_t, 1.5, vmin, vmax)
+            assert 8 * len(payload) <= bits * 1.01 + 64
+            out = decode_subband(payload, cw, l_t, 1.5, vmin, vmax, shape)
+            assert np.array_equal(out, values)
+            # every tap read the right neighbour: the wavefront codec prices
+            # each symbol as the full-grid context net does
+            ref = _full_grid_bits(self.make_weights(50 + seed), "HL", values,
+                                  l_t, 1.5, vmin, vmax)
+            assert bits == pytest.approx(ref, rel=1e-9)
+
+    def test_round_trip_at_alphabet_cap(self):
+        cw, _, l_t, _, _ = _subband_setup(15, shape=(5, 6),
+                                       make_weights=self.make_weights)
+        vmin, vmax = -16384, 16383
+        assert SubbandCodec(cw, l_t[None], 1.0, vmin, vmax, (5, 6)).alphabet == TOTAL // 2
+        values = np.random.default_rng(16).integers(vmin, vmax + 1, (5, 6)).astype(np.int32)
+        values[0, 0], values[0, 5], values[4, 0], values[4, 5] = vmin, vmax, vmax, vmin
+        payload, _ = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
+        out = decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape)
+        assert np.array_equal(out, values)
+
+
+class TestSubbandCodec(SubbandPathChecks):
+    # random heads: the wavefront context net
+    make_weights = staticmethod(random_ctx_weights)
+
     def test_round_trip(self):
         for seed in range(5):
             cw, values, l_t, vmin, vmax = _subband_setup(seed)
             payload, bits = encode_subband(values, cw, l_t, 2.0, vmin, vmax)
             out = decode_subband(payload, cw, l_t, 2.0, vmin, vmax, values.shape)
             assert np.array_equal(out, values)
-
-    def test_round_trip_wide_alphabet(self):
-        # an alphabet wider than SEARCH_FANOUT takes refinement rounds
-        cw, _, l_t, _, _ = _subband_setup(11, shape=(6, 6))
-        rng = np.random.default_rng(12)
-        values = rng.integers(-400, 401, (6, 6)).astype(np.int32)
-        payload, _ = encode_subband(values, cw, l_t, 1.0, -400, 400)
-        out = decode_subband(payload, cw, l_t, 1.0, -400, 400, values.shape)
-        assert np.array_equal(out, values)
 
     def test_degenerate_alphabet_zero_bits(self):
         cw, _, l_t, _, _ = _subband_setup(13, shape=(4, 4))
@@ -322,31 +365,6 @@ class TestSubbandCodec:
         raw = context_forward(params, s_t, Tensor(l_t[None]), "HL").data[0]
         float_bits = gmm_bits(raw, values, vmin, vmax)
         assert abs(bits - float_bits) <= 0.02 * float_bits + 16
-
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 3), (3, 17)])
-    def test_wavefront_edge_shapes(self, shape):
-        for seed in range(3):
-            cw, values, l_t, vmin, vmax = _subband_setup(50 + seed, shape=shape)
-            vmin, vmax = vmin - 1, vmax + 1  # keep the alphabet above one symbol
-            payload, bits = encode_subband(values, cw, l_t, 1.5, vmin, vmax)
-            assert 8 * len(payload) <= bits * 1.01 + 64
-            out = decode_subband(payload, cw, l_t, 1.5, vmin, vmax, shape)
-            assert np.array_equal(out, values)
-            # every tap read the right neighbour: the wavefront codec prices
-            # each symbol as the full-grid context net does
-            ref = _full_grid_bits(random_ctx_weights(50 + seed), "HL", values,
-                                  l_t, 1.5, vmin, vmax)
-            assert bits == pytest.approx(ref, rel=1e-9)
-
-    def test_round_trip_at_alphabet_cap(self):
-        cw, _, l_t, _, _ = _subband_setup(15, shape=(5, 6))
-        vmin, vmax = -16384, 16383
-        assert SubbandCodec(cw, l_t[None], 1.0, vmin, vmax, (5, 6)).alphabet == TOTAL // 2
-        values = np.random.default_rng(16).integers(vmin, vmax + 1, (5, 6)).astype(np.int32)
-        values[0, 0], values[0, 5], values[4, 0], values[4, 5] = vmin, vmax, vmax, vmin
-        payload, _ = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
-        out = decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape)
-        assert np.array_equal(out, values)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 3), (3, 17),
                                        (20, 31)])
@@ -380,6 +398,76 @@ class TestSubbandCodec:
             SubbandCodec(cw, l_t[None, :, :2, :2], 1.0, -40000, 40000, (2, 2))
 
 
+class TestSubbandCodecStaticPath(SubbandPathChecks):
+    # the built-in model's zero head: one table, no context net
+    make_weights = staticmethod(builtin_ctx_weights)
+
+
+def _zero_head_weights(seed):
+    """Random context weights whose head (h1.w, h2.w) is zero for every kind."""
+    weights = random_ctx_weights(seed)
+    for kind in SUBBAND_KINDS:
+        for part in ("h1", "h2"):
+            name = f"{ctx_prefix(kind)}.{part}.w"
+            weights.set(name, np.zeros_like(weights.get(name)))
+    return weights
+
+
+class TestStaticPrior:
+    def test_builtin_model_is_static_for_every_kind(self):
+        weights = models.default_weights()
+        assert all(extract_context_arrays(weights, kind)["static"] for kind in SUBBAND_KINDS)
+
+    @pytest.mark.parametrize("part", ["h1", "h2"])
+    def test_one_head_weight_sends_only_its_kind_to_the_wavefronts(self, part, monkeypatch):
+        weights = models.default_weights()
+        name = f"{ctx_prefix('LH')}.{part}.w"
+        arr = weights.get(name).copy()
+        arr[1, 2, 0, 0] = 0.25
+        weights.set(name, arr)
+        assert [k for k in SUBBAND_KINDS
+                if not extract_context_arrays(weights, k)["static"]] == ["LH"]
+        paths = []
+        for method in ("_run_static", "_run_wavefronts"):
+            def spy(codec, *args, _run=getattr(SubbandCodec, method), _name=method):
+                paths.append(_name)
+                return _run(codec, *args)
+            monkeypatch.setattr(SubbandCodec, method, spy)
+        pyrs = _quantized_pyramids(1, 16, seed=70)
+        bs = encode_image(pyrs, QuantGrid.uniform(1, 1.0), weights, "lossless", (16, 16))
+        _, out = decode_image(bs.pack(), weights)
+        # coding order LL, HL, LH, HH, once to encode and once to decode
+        assert paths == ["_run_static", "_run_static", "_run_wavefronts", "_run_static"] * 2
+        for orig, dec in zip(pyrs, out):
+            assert np.array_equal(orig.get(1, "LH"), dec.get(1, "LH"))
+
+    @pytest.mark.parametrize("shape, spread", [((9, 13), 6), ((1, 7), 3), ((6, 5), 500)])
+    def test_zero_head_over_active_branches_codes_as_the_wavefronts_do(self, shape, spread):
+        cw, values, l_t, vmin, vmax = _subband_setup(71, shape=shape, spread=spread,
+                                                     make_weights=_zero_head_weights)
+        assert cw["static"]
+        payload, bits = encode_subband(values, cw, l_t, 1.5, vmin, vmax)
+        ref = _full_grid_bits(_zero_head_weights(71), "HL", values, l_t, 1.5, vmin, vmax)
+        assert bits == pytest.approx(ref, rel=1e-9)
+        # the context net over the same weights gives the same bytes and bits
+        wavefront = dict(cw, static=False)
+        assert encode_subband(values, wavefront, l_t, 1.5, vmin, vmax) == (payload, bits)
+        for arrays in (cw, wavefront):
+            out = decode_subband(payload, arrays, l_t, 1.5, vmin, vmax, shape)
+            assert np.array_equal(out, values)
+
+    def test_non_finite_bias_fails_as_the_wavefronts_do(self):
+        weights = models.default_weights()
+        bias = weights.get("ctx.hl.h2.b").copy()
+        bias[2 * GMM_K + 1] = np.nan
+        weights.set("ctx.hl.h2.b", bias)
+        cw, values, l_t, vmin, vmax = _subband_setup(72, make_weights=lambda _: weights)
+        assert cw["static"]
+        for arrays in (cw, dict(cw, static=False)):
+            with np.errstate(invalid="ignore"), pytest.raises(RangeError, match="zero-probability"):
+                encode_subband(values, arrays, l_t, 1.0, vmin, vmax)
+
+
 def _quantized_pyramids(levels, size, seed, spread=20):
     rng = np.random.default_rng(seed)
     pyrs = []
@@ -389,7 +477,53 @@ def _quantized_pyramids(levels, size, seed, spread=20):
     return pyrs
 
 
-class TestImageCodec:
+class PayloadErrorChecks:
+    """Image decode errors checked on both coding paths: each subclass picks
+    the context weights `make_weights(seed)`, and so the path."""
+
+    make_weights = None
+
+    def test_truncated_stream_gives_position_diagnostic(self):
+        weights = self.make_weights(0)
+        pyrs = _quantized_pyramids(1, 8, seed=41)
+        packed = encode_image(pyrs, QuantGrid.uniform(1, 1.0), weights,
+                              "lossless", (8, 8)).pack()
+        with pytest.raises(StreamError, match="byte"):
+            decode_image(packed[:30], weights)
+
+    def test_payload_shorter_than_coder_state_is_stream_error(self):
+        weights = self.make_weights(0)
+        bs = encode_image(_quantized_pyramids(1, 8, seed=42), QuantGrid.uniform(1, 1.0),
+                          weights, "lossless", (8, 8))
+        bs.payloads[1] = bs.payloads[1][:2]
+        with pytest.raises(StreamError, match="channel 1"):
+            decode_image(bs.pack(), weights)
+
+    def test_midstream_underrun_names_channel(self):
+        weights = self.make_weights(0)
+        bs = encode_image(_quantized_pyramids(2, 32, seed=45), QuantGrid.uniform(2, 1.0),
+                          weights, "lossless", (32, 32))
+        assert len(bs.payloads[2]) // 2 > 4  # the coder state itself is intact
+        bs.payloads[2] = bs.payloads[2][: len(bs.payloads[2]) // 2]
+        with pytest.raises(StreamError, match="channel 2") as info:
+            decode_image(bs.pack(), weights)
+        assert "subband" in str(info.value)  # raised by the scan, not on setup
+
+    def test_random_payload_is_stream_error(self):
+        # random payloads soon put the decoder's code outside every symbol's
+        # interval; that is reported instead of decoding garbage ever slower
+        weights = self.make_weights(0)
+        rng = np.random.default_rng(47)
+        bs = Bitstream("lossless", 3, 64, 64, weights_checksum(weights),
+                       [(1.0, -16384, 16383)] * 10, [rng.bytes(1 << 16) for _ in range(3)])
+        with pytest.raises(StreamError, match="corrupt"):
+            decode_image(bs.pack(), weights)
+
+
+class TestImageCodec(PayloadErrorChecks):
+    # the built-in model's zero head: the one-table static path
+    make_weights = staticmethod(builtin_ctx_weights)
+
     def test_all_zero_pyramid_compresses_to_near_nothing(self):
         weights = models.default_weights()
         zero = [forward_pyramid(Cdf53(), np.zeros((16, 16), dtype=np.int32), 2)
@@ -443,42 +577,6 @@ class TestImageCodec:
             encode_image(pyrs, QuantGrid.uniform(1, 2.0), weights,
                          "lossless", (8, 8))
 
-    def test_truncated_stream_gives_position_diagnostic(self):
-        weights = models.default_weights()
-        pyrs = _quantized_pyramids(1, 8, seed=41)
-        packed = encode_image(pyrs, QuantGrid.uniform(1, 1.0), weights,
-                              "lossless", (8, 8)).pack()
-        with pytest.raises(StreamError, match="byte"):
-            decode_image(packed[:30], weights)
-
-    def test_payload_shorter_than_coder_state_is_stream_error(self):
-        weights = models.default_weights()
-        bs = encode_image(_quantized_pyramids(1, 8, seed=42), QuantGrid.uniform(1, 1.0),
-                          weights, "lossless", (8, 8))
-        bs.payloads[1] = bs.payloads[1][:2]
-        with pytest.raises(StreamError, match="channel 1"):
-            decode_image(bs.pack(), weights)
-
-    def test_midstream_underrun_names_channel(self):
-        weights = models.default_weights()
-        bs = encode_image(_quantized_pyramids(2, 32, seed=45), QuantGrid.uniform(2, 1.0),
-                          weights, "lossless", (32, 32))
-        assert len(bs.payloads[2]) // 2 > 4  # the coder state itself is intact
-        bs.payloads[2] = bs.payloads[2][: len(bs.payloads[2]) // 2]
-        with pytest.raises(StreamError, match="channel 2") as info:
-            decode_image(bs.pack(), weights)
-        assert "subband" in str(info.value)  # raised by the scan, not on setup
-
-    def test_random_payload_is_stream_error(self):
-        # random payloads soon put the decoder's code outside every symbol's
-        # interval; that is reported instead of decoding garbage ever slower
-        weights = models.default_weights()
-        rng = np.random.default_rng(47)
-        bs = Bitstream("lossless", 3, 64, 64, weights_checksum(weights),
-                       [(1.0, -16384, 16383)] * 10, [rng.bytes(1 << 16) for _ in range(3)])
-        with pytest.raises(StreamError, match="corrupt"):
-            decode_image(bs.pack(), weights)
-
     def test_corrupt_payload_detected(self):
         weights = random_ctx_weights(43)
         pyrs = _quantized_pyramids(2, 16, seed=44, spread=300)
@@ -487,6 +585,11 @@ class TestImageCodec:
         cut = packed[: len(packed) - 40]
         with pytest.raises(StreamError):
             decode_image(cut, weights)
+
+
+class TestImageCodecWavefrontPath(PayloadErrorChecks):
+    # random heads: the wavefront context net
+    make_weights = staticmethod(random_ctx_weights)
 
 
 class TestBitstream:

@@ -22,6 +22,25 @@ class TestLossless:
         assert hashlib.sha256(packed).hexdigest() == (
             "f82b59f6fef387e4e041e7f8c1ef567f36127e4bbbfe7be8d108b465ba09a503")
 
+    def test_golden_wide_alphabet_streams(self):
+        # Random pixels spread the built-in model's subbands over up to 1133
+        # values.  The SHA-256 of the streams and of their per-subband model
+        # bits may change only together with entropy.STREAM_VERSION.
+        weights = models.default_weights()
+        rng = np.random.default_rng(2024)
+        streams, bits = hashlib.sha256(), hashlib.sha256()
+        for height, width in [(64, 64), (33, 17), (96, 40)]:
+            rgb = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+            bs = pipeline.encode_rgb(rgb, weights, "lossless")
+            packed = bs.pack()
+            assert np.array_equal(pipeline.decode_bytes(packed, weights), rgb)
+            streams.update(packed)
+            bits.update(np.array(bs.stats["subband_bits"]).tobytes())
+        assert streams.hexdigest() == (
+            "4dfa2062d871374c50b3eb22f376bf88e541c3d95708cace3d82810c975945ec")
+        assert bits.hexdigest() == (
+            "404c02112d9270f13b735c86fe156068014c1318b1159a978dddfc0165882ddd")
+
     def test_round_trip_byte_identical(self):
         rng = np.random.default_rng(0)
         weights = models.default_weights()
