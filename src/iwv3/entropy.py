@@ -183,7 +183,8 @@ class LongTermContext:
     Same-level earlier subbands are used directly; when coding drops a level,
     the four grids of the finished level are inverse-transformed once to
     synthesize the co-resolution LL context.  Grids must be dequantized
-    (what the decoder will actually hold).
+    (what the decoder will actually hold).  That synthesis is the
+    reconstruction's: after HH_1, `final_level` is the one level left.
     """
 
     def __init__(self, backend):
@@ -213,6 +214,11 @@ class LongTermContext:
                 self.backend, self._ll, self._seen["HL"], self._seen["LH"], deq_grid
             )
             self._seen = {}
+
+    def final_level(self) -> SubbandPyramid:
+        """LL_1 and the level-1 details: a one-level pyramid to invert."""
+        seen = self._seen
+        return SubbandPyramid(1, self._ll, [(seen["HL"], seen["LH"], seen["HH"])])
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +625,10 @@ class Bitstream:
             if pos + _SUBBAND.size > len(data):
                 raise StreamError(f"truncated subband table at byte {pos}")
             qstep, vmin, vmax = _SUBBAND.unpack_from(data, pos)
-            if not (qstep > 0) or vmin > vmax:
+            if not (0 < qstep < math.inf) or vmin > vmax:
                 raise StreamError("corrupt subband table entry")
+            if mode_code == MODE_CODES["lossless"] and qstep != 1.0:
+                raise StreamError(f"lossless stream with quantization step {qstep}")
             info.append((qstep, vmin, vmax))
             pos += _SUBBAND.size
         payloads = []
@@ -648,10 +656,10 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
     Encodes `pyramids` (one per coder, channel b through rcs[b]) through
     RangeEncoders, or decodes them from RangeDecoders when `pyramids` is
     None.  Each subband of all channels is one SubbandCodec pass: the
-    channels share the shape and (qstep, vmin, vmax), which both directions
-    take from the header fields of `bs`, and each feeds its own long-term
-    context the same dequantized grids on both sides.  Returns the coded
-    pyramids and, per channel, the encoder's model bits of each subband.
+    channels share the shape and (qstep, vmin, vmax), from the header fields
+    of `bs`, and each feeds its long-term context the same dequantized grids
+    on both sides.  Returns, per channel, the coded pyramid, the encoder's
+    model bits of each subband and the context's final level.
     """
     levels = bs.levels
     ph, pw = padded_geometry(levels, bs.true_width, bs.true_height)
@@ -684,7 +692,7 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
             bits[ch].append(codec.channel_bits[ch])
             ltc.advance(level, kind, dequantize(values[ch], qstep))
         del codec  # its head bias must not overlap the next subband's L_t convs
-    return out, bits
+    return out, bits, [ltc.final_level() for ltc in ltcs]
 
 
 def _context_arrays(weights: ModelWeights) -> dict:
@@ -719,7 +727,7 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
     tw, th = true_size
     bs = Bitstream(mode, levels, tw, th, weights_checksum(weights), info, [])
     rcs = [RangeEncoder() for _ in qpyramids]
-    _, bits = code_channel(rcs, bs, _context_arrays(weights), backend, qpyramids)
+    _, bits, _ = code_channel(rcs, bs, _context_arrays(weights), backend, qpyramids)
     bs.payloads = [rc.finish() for rc in rcs]
     bs.stats = {"subband_bits": [b for ch_bits in bits for b in ch_bits]}
     return bs
@@ -727,6 +735,11 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
 
 def decode_image(data, weights: ModelWeights):
     """Decode a packed stream (or Bitstream) back to quantized pyramids."""
+    return decode_stream(data, weights)[:2]
+
+
+def decode_stream(data, weights: ModelWeights):
+    """(Bitstream, quantized pyramids, final levels) of a packed stream."""
     bs = data if isinstance(data, Bitstream) else Bitstream.unpack(data)
     if bs.weight_checksum != weights_checksum(weights):
         raise WeightChecksumError(
@@ -735,7 +748,7 @@ def decode_image(data, weights: ModelWeights):
     backend = make_backend(bs.mode, weights=weights)
     try:
         rcs = [RangeDecoder(p, f"channel {ch} payload") for ch, p in enumerate(bs.payloads)]
-        pyramids, _ = code_channel(rcs, bs, _context_arrays(weights), backend)
+        pyramids, _, finals = code_channel(rcs, bs, _context_arrays(weights), backend)
     except RangeError as err:
         raise StreamError(str(err)) from err
-    return bs, pyramids
+    return bs, pyramids, finals

@@ -516,13 +516,12 @@ def save_weights(weights: ModelWeights) -> bytes:
 def load_weights(data: bytes) -> ModelWeights:
     if data[:4] != WEIGHTS_MAGIC:
         raise ValueError("bad magic in weights file")
-    pos = 4
-    (version,) = struct.unpack_from("<B", data, pos)
-    pos += 1
+    if len(data) < 9:
+        raise ValueError("truncated weights header")
+    version, count = struct.unpack_from("<BI", data, 4)
     if version != WEIGHTS_VERSION:
         raise ValueError(f"unsupported weights version {version}")
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    pos = 9
     weights = ModelWeights()
     for _ in range(count):
         if pos + 2 > len(data):

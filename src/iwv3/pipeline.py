@@ -1,8 +1,9 @@
 """End-to-end encode/decode paths composing the codec modules.
 
 encode_rgb: color transform -> pad -> pyramid -> quantize -> entropy code.
-decode_bytes: entropy decode -> dequantize -> inverse pyramid -> optional
-dequantization filter -> inverse color transform.
+decode_bytes: entropy decode, whose long-term contexts invert levels L..2 ->
+inverse of the final level -> optional dequantization filter -> inverse
+color transform.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
-from .entropy import Bitstream, coding_order, decode_image, encode_image
+from .entropy import Bitstream, coding_order, decode_stream, encode_image
 from .imageio import ImagePlanes, planes_to_rgb
 from .lifting import forward_pyramid, inverse_pyramid, make_backend
 from .postproc import dequant_filter_plane
-from .quant import QuantGrid, dequantize, quantize
+from .quant import QuantGrid, quantize
 
 
 def build_quantgrid(weights, mode: str, levels: int, qstep_offset: float = 0.0) -> QuantGrid:
@@ -51,27 +52,19 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
                         (planes.true_width, planes.true_height))
 
 
-def reconstruct(bs: Bitstream, pyramids, weights) -> np.ndarray:
-    """Rebuild the RGB image a decoder would emit for decoded pyramids."""
-    order = coding_order(bs.levels)
+def decode_bytes(data: bytes, weights) -> np.ndarray:
+    """Decode a packed stream to an (H, W, 3) uint8 image."""
+    bs, pyramids, finals = decode_stream(data, weights)
+    del pyramids  # not read by the synthesis: free them before it
     backend = make_backend(bs.mode, weights=weights)
-    qsteps = dict(zip(order, (q for q, _, _ in bs.subband_info)))
     dq_net = None if bs.mode == "lossless" else models.infer_dq_shape(weights)
     out_planes = []
-    for pyr in pyramids:
-        deq = pyr.map(lambda g: None)
-        for level, kind in order:
-            deq.set(level, kind, dequantize(pyr.get(level, kind), qsteps[(level, kind)]))
-        plane = inverse_pyramid(backend, deq)
+    for ch in range(len(finals)):
+        plane = inverse_pyramid(backend, finals[ch])
+        finals[ch] = None  # free this channel's grids before the next inverse
         out_planes.append(plane if dq_net is None
                           else dequant_filter_plane(dq_net, weights, plane))
     return planes_to_rgb(out_planes, bs.true_width, bs.true_height)
-
-
-def decode_bytes(data: bytes, weights) -> np.ndarray:
-    """Decode a packed stream to an (H, W, 3) uint8 image."""
-    bs, pyramids = decode_image(data, weights)
-    return reconstruct(bs, pyramids, weights)
 
 
 def stream_bpp(packed: bytes, bs: Bitstream) -> float:

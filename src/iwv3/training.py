@@ -27,7 +27,6 @@ from .entropy import (
     LongTermContext,
     coding_order,
     context_forward,
-    decode_image,
     gmm_bits,
 )
 from .gradtape import ModelWeights, Tensor
@@ -202,13 +201,12 @@ def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
     Walks the subbands of `pyr` in coding order.  `quantizer(level, kind,
     coeffs)` returns a subband's (values, dequantized grid); `rate(kind, s_t,
     l_t, values)` charges the values' bits given the dequantized grid and the
-    long-term context of the grids coded before it.  The dequantized pyramid
-    is then inverted and refined by the dequantization filter.  Returns
+    long-term context of the grids coded before it.  The context's final
+    level is then inverted and refined by the dequantization filter.  Returns
     (bits, refined).  Grids stay arrays when the quantizer returns arrays, so
     a hard quantizer keeps the transform chain off the tape.
     """
     ltc = LongTermContext(backend)
-    deq = pyr.map(lambda g: None)
     bits = None
     for level, kind in coding_order(pyr.levels):
         values, grid = quantizer(level, kind, pyr.get(level, kind))
@@ -217,8 +215,7 @@ def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
         term = rate(kind, s_t, l_t, _tensor(values))
         bits = term if bits is None else bits + term
         ltc.advance(level, kind, grid)
-        deq.set(level, kind, grid)
-    recon = inverse_pyramid(backend, deq)
+    recon = inverse_pyramid(backend, ltc.final_level())
     return bits, dequant_filter(dq_net, params, _tensor(recon))
 
 
@@ -478,8 +475,7 @@ def measure_rd(rgb, reference_rgb, weights: ModelWeights, mode: str,
     """Actual-encode RD: payload bits plus distortion against a reference."""
     bs = pipeline.encode_rgb(rgb, weights, mode)
     packed = bs.pack()
-    _, pyramids = decode_image(packed, weights)
-    recon = pipeline.reconstruct(bs, pyramids, weights)
+    recon = pipeline.decode_bytes(packed, weights)
     return loss_rd(reference_rgb, recon, 8.0 * len(packed), lam, normalize=True)
 
 

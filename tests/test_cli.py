@@ -141,6 +141,22 @@ class TestEncodeDecode:
         assert rc == 5
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"IWTW", b"IWTW\x01\x02"])
+    def test_truncated_weights_exit_3(self, content, workdir, capsys):
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(8, 8, 3))
+        stream = workdir / "s.iwv3"
+        assert main(["encode", str(src), str(stream)]) == 0
+        wpath = workdir / "w.iwtw"
+        wpath.write_bytes(content)
+        capsys.readouterr()
+        out = workdir / "b.ppm"
+        assert main(["decode", str(stream), str(out), "--weights", str(wpath)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "truncated" in err
+        assert not out.exists()
+
     def test_bad_input_exit_2(self, workdir, capsys):
         bad = workdir / "bad.ppm"
         bad.write_bytes(b"JUNKJUNK")
@@ -256,6 +272,23 @@ class TestInspect:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "payload" in proc.stderr
         assert "memory" not in proc.stderr
+
+    @pytest.mark.parametrize("qstep", [2.0, float("inf")])
+    def test_forged_lossless_step_exit_5(self, qstep, workdir, capsys):
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(32, 32, 13))
+        stream = workdir / "s.iwv3"
+        assert main(["encode", str(src), str(stream)]) == 0
+        bs = Bitstream.unpack(stream.read_bytes())
+        bs.subband_info[0] = (qstep,) + bs.subband_info[0][1:]
+        stream.write_bytes(bs.pack())
+        capsys.readouterr()
+        out = workdir / "b.ppm"
+        for args in (["decode", str(stream), str(out)], ["inspect", str(stream)]):
+            assert main(args) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_corrupt_magic_exit_5(self, workdir, capsys):
         bad = workdir / "bad.iwv3"

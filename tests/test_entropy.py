@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -28,9 +30,12 @@ from iwv3.entropy import (
     weights_checksum,
 )
 from iwv3.gradtape import Tensor
-from iwv3.lifting import SUBBAND_KINDS, Cdf53, SubbandPyramid, forward_pyramid, make_backend
-from iwv3.quant import QuantGrid
+from iwv3.lifting import (SUBBAND_KINDS, Cdf53, Cdf97, SubbandPyramid, forward_pyramid,
+                          inverse_pyramid, make_backend)
+from iwv3.quant import QuantGrid, dequantize, quantize
 from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
+
+from conftest import perturbed_lossy_weights
 
 
 def _quantized_cum_table(w, u, sigma, vmin: int, vmax: int) -> np.ndarray:
@@ -125,6 +130,41 @@ class TestLongTermContext:
         ltc = LongTermContext(Cdf53())
         with pytest.raises(ValueError, match="unknown subband"):
             ltc.stack_for(2, "XX")
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("transform, form", [
+        ("cdf53", "2d"), ("cdf53", "4d"), ("cdf97", "2d"), ("cdf97", "4d"),
+        ("additive", "2d"), ("additive", "4d"), ("additive", "tensor"),
+        ("affine", "2d"), ("affine", "4d"), ("affine", "tensor"),
+    ])
+    def test_final_level_inverse_is_the_reconstruction(self, transform, form, levels):
+        # the context's synthesis of levels L..2 plus one inverse level is
+        # inverse_pyramid of the whole dequantized pyramid, bit for bit
+        if transform == "cdf53":
+            backend, qstep = Cdf53(), 1.0
+        elif transform == "cdf97":
+            backend, qstep = Cdf97(), 3.0
+        else:
+            backend = make_backend(transform, weights=perturbed_lossy_weights(transform, 2, seed=3))
+            qstep = 3.0
+        rng = np.random.default_rng(levels)
+        plane = rng.integers(0, 256, (2, 1, 48, 32)).astype(np.int32)
+        if form == "2d":
+            plane = plane[0, 0]
+        if transform != "cdf53":
+            plane = plane.astype(np.float64)
+        wrap = Tensor if form == "tensor" else np.asarray
+        deq = forward_pyramid(backend, plane, levels).map(
+            lambda g: wrap(dequantize(quantize(g, qstep), qstep)))
+        ltc = LongTermContext(backend)
+        for level, kind in coding_order(levels):
+            ltc.advance(level, kind, deq.get(level, kind))
+        got = inverse_pyramid(backend, ltc.final_level())
+        want = inverse_pyramid(backend, deq)
+        if form == "tensor":
+            got, want = got.data, want.data
+        assert got.shape == plane.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestContextForward:
@@ -629,6 +669,21 @@ class TestBitstream:
         bs = Bitstream("lossless", 1, MAX_PIXELS // 2, 2, 0, [(1.0, 0, 0)] * 4,
                        [b"", b"", b""])
         assert Bitstream.unpack(bs.pack()).true_width == MAX_PIXELS // 2
+
+    @pytest.mark.parametrize("mode", ["lossless", "additive"])
+    def test_non_finite_step_rejected(self, mode):
+        info = [(1.0, 0, 3)] * 4
+        info[2] = (math.inf, 0, 3)
+        bs = Bitstream(mode, 1, 8, 8, 0, info, [b"", b"", b""])
+        with pytest.raises(StreamError, match="corrupt subband table"):
+            Bitstream.unpack(bs.pack())
+
+    @pytest.mark.parametrize("qstep", [2.0, 0.5])
+    def test_lossless_step_other_than_one_rejected(self, qstep):
+        bs = Bitstream("lossless", 1, 8, 8, 0, [(qstep, 0, 3)] + [(1.0, 0, 3)] * 3,
+                       [b"", b"", b""])
+        with pytest.raises(StreamError, match="lossless stream with quantization step"):
+            Bitstream.unpack(bs.pack())
 
     def test_checksum_helper_tracks_serialization(self):
         w1 = models.default_weights()

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from iwv3 import models, pipeline
+from iwv3 import entropy, lifting, models, pipeline
 from iwv3.entropy import coding_order, decode_image
 from iwv3.imageio import ImagePlanes
 from iwv3.lifting import forward_pyramid, make_backend
@@ -126,8 +126,7 @@ class TestLossy:
         weights = perturbed_lossy_weights("additive", 2, seed=6)
         photo = natural_photo(48, 48, 7)
         bs = pipeline.encode_rgb(photo, weights, "additive")
-        _, pyramids = decode_image(bs.pack(), weights)
-        recon = pipeline.reconstruct(bs, pyramids, weights)
+        recon = pipeline.decode_bytes(bs.pack(), weights)
         assert recon.shape == photo.shape
         rmse = float(np.sqrt(np.mean((recon.astype(float) - photo) ** 2)))
         assert rmse < 30.0  # coarse 16-step quantization, near-lazy transform
@@ -163,3 +162,41 @@ class TestGeometry:
             packed = pipeline.encode_rgb(
                 rgb, weights, "lossless", levels=levels).pack()
             assert np.array_equal(pipeline.decode_bytes(packed, weights), rgb)
+
+
+class TestSingleSynthesis:
+    """Each plane's inverse transform runs once: the long-term context
+    inverts levels L..2 while coding, and one more level finishes it."""
+
+    @staticmethod
+    def _count_inverse_levels(monkeypatch):
+        calls = []
+        real = lifting.inverse2d_level
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (entropy, lifting):
+            monkeypatch.setattr(module, "inverse2d_level", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode, levels", [("lossless", 2), ("lossless", 3),
+                                              ("additive", 2)])
+    def test_decode_inverts_each_level_once_per_plane(self, mode, levels, monkeypatch):
+        weights = (models.default_weights() if mode == "lossless"
+                   else perturbed_lossy_weights(mode, levels, seed=4))
+        packed = pipeline.encode_rgb(natural_photo(24, 40, 2), weights, mode,
+                                     levels=levels).pack()
+        calls = self._count_inverse_levels(monkeypatch)
+        pipeline.decode_bytes(packed, weights)
+        assert len(calls) == 3 * levels
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_eval_rd_inverts_each_level_once_per_plane(self, levels, monkeypatch):
+        planes = [np.asarray(p, dtype=np.float64)
+                  for p in ImagePlanes.from_rgb(natural_photo(32, 32, 1), levels).planes]
+        weights = perturbed_lossy_weights("additive", levels, seed=4)
+        calls = self._count_inverse_levels(monkeypatch)
+        eval_rd(weights, planes[:2], TrainConfig(mode="additive", levels=levels))
+        assert len(calls) == 2 * levels
