@@ -341,8 +341,9 @@ class SubbandCodec:
     s (the scaled decoded values) and f1 (the first S_t layer) at
     (i-1, x-1), (i-1, x), (i-1, x+1) and (i, x-1), on wavefronts t-3, t-2,
     t-1 and t-1, so each wavefront is one batch: one matrix product per
-    layer for all of its positions.  Only the range-coder calls, and the
-    refinement rounds of the decoder's search, are per symbol.
+    layer for all of its positions.  The encoder hands each channel's share
+    of a wavefront to one range-coder run; only the decoder's range-coder
+    calls and the refinement rounds of its search are per symbol.
 
     A leading channel axis batches B subbands that share shape, qstep,
     (vmin, vmax) and weights but not values, L_t (B, 3, H, W) or range
@@ -367,9 +368,9 @@ class SubbandCodec:
     output is h2.b at every position, so every position has the one
     mixture and the one CDF table.  The codec then builds that table once,
     skips the context net and the L_t branch (l_t may be None), and codes
-    the symbols in the same wavefront order: the same symbols, bytes and
-    model bits as the context net gives whenever its activations are
-    finite.
+    each channel's symbols in the same wavefront order as one range-coder
+    run: the same symbols, bytes and model bits as the context net gives
+    whenever its activations are finite.
     """
 
     def __init__(self, cw: dict, l_t: np.ndarray | None, qstep: float,
@@ -427,33 +428,33 @@ class SubbandCodec:
         return np.ascontiguousarray(out)
 
     def _run_static(self, rcs, flat: np.ndarray, encode: bool) -> None:
-        """Code `flat` in wavefront order against the one table of h2.b."""
-        vmin, alphabet, bits = self.vmin, self.alphabet, self.channel_bits
+        """Code `flat` in wavefront order against the one table of h2.b: one
+        range-coder run per channel."""
+        h, w, vmin, alphabet = self.h, self.w, self.vmin, self.alphabet
         with np.errstate(over="ignore"):
             mw, u, sigma = _mixture(self._b_h2.astype(np.float64)[None])
         cum = quantized_cdf(mw, u, sigma, np.arange(alphabet + 1)[None], vmin,
-                            alphabet)[0].tolist()
-        freq = [qhi - qlo for qlo, qhi in zip(cum, cum[1:])]
-        if encode:
-            # a non-finite h2.b can leave a symbol no width; rc.encode then
-            # refuses it before its cost is added
-            log2_total = math.log2(TOTAL)
-            cost = [log2_total - math.log2(f) if f > 0 else math.inf for f in freq]
-        for _, lo, hi, diag in _wavefronts(self.h, self.w):
-            if diag is None:
-                continue
-            if encode:
-                ks = (flat[diag] - vmin).T.tolist()  # (B, n)
-                for ch, rc in enumerate(rcs):
-                    b = bits[ch]
-                    for k in ks[ch]:
-                        rc.encode(cum[k], freq[k])
-                        b += cost[k]
-                    bits[ch] = b
-            else:
-                n = hi - lo + 1
-                ks = [[rc.decode(cum) for _ in range(n)] for rc in rcs]
-                flat[diag] = np.array(ks).T + vmin
+                            alphabet)[0]
+        # flat positions by wavefront t = x + 2i, rows increasing along each
+        i, x = np.divmod(np.arange(h * w), w)
+        order = np.argsort((x + 2 * i) * h + i)
+        if not encode:
+            table = cum.tolist()
+            for ch, rc in enumerate(rcs):
+                flat[order, ch] = np.array(rc.decode_run(table, h * w)) + vmin
+            return
+        # A non-finite h2.b can leave the table out of order (on x86 the
+        # inner entries at INT64_MIN + k): the widths that come out
+        # negative, encode_run refuses before their cost is added.
+        freq = np.diff(cum)
+        log2_total = math.log2(TOTAL)
+        cost = np.array([log2_total - math.log2(f) if f > 0 else math.inf
+                         for f in freq.tolist()])
+        for ch, rc in enumerate(rcs):
+            ks = flat[order, ch] - vmin
+            rc.encode_run(cum[ks].tolist(), freq[ks].tolist())
+            # cumsum adds in coding order, as the per-symbol sum did
+            self.channel_bits[ch] = float(np.cumsum(cost[ks])[-1])
 
     def _run_wavefronts(self, rcs, flat: np.ndarray, encode: bool) -> None:
         """Code `flat` wavefront by wavefront, one context-net batch each."""
@@ -499,11 +500,12 @@ class SubbandCodec:
                 if encode:
                     v = flat[diag]
                     q = quantized_cdf(mw, u, sigma, (v.reshape(-1) - vmin)[:, None] + _PAIR,
-                                      vmin, alphabet).tolist()
+                                      vmin, alphabet)
+                    cums, freqs = q[:, 0].tolist(), (q[:, 1] - q[:, 0]).tolist()
                     for ch, rc in enumerate(rcs):
-                        for qlo, qhi in q[ch::nch]:
-                            rc.encode(qlo, qhi - qlo)
-                            bits[ch] += log2_total - math.log2(qhi - qlo)
+                        rc.encode_run(cums[ch::nch], freqs[ch::nch])
+                        for f in freqs[ch::nch]:
+                            bits[ch] += log2_total - math.log2(f)
                 else:
                     table = quantized_cdf(mw, u, sigma, first_k, vmin, alphabet).tolist()
                     ks = [0] * rows
@@ -659,11 +661,16 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
     channels share the shape and (qstep, vmin, vmax), from the header fields
     of `bs`, and each feeds its long-term context the same dequantized grids
     on both sides.  Returns, per channel, the coded pyramid, the encoder's
-    model bits of each subband and the context's final level.
+    model bits of each subband and the context's final level.  An encoder
+    under an all-static model keeps no contexts, since nothing reads them,
+    and returns None for the final levels; a decoder's contexts are its
+    reconstruction.
     """
     levels = bs.levels
     ph, pw = padded_geometry(levels, bs.true_width, bs.true_height)
-    ltcs = [LongTermContext(backend) for _ in rcs]
+    ltcs = None
+    if pyramids is None or not all(cw["static"] for cw in ctx_arrays.values()):
+        ltcs = [LongTermContext(backend) for _ in rcs]
     out = [SubbandPyramid(levels, None, [(None, None, None)] * levels) for _ in rcs]
     bits = [[] for _ in rcs]
     for (level, kind), (qstep, vmin, vmax) in zip(coding_order(levels), bs.subband_info):
@@ -687,12 +694,13 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
             values = codec.run(rcs, values)
         except RangeError as err:
             raise RangeError(f"{err} in subband {kind}{level}") from err
-        for ch, ltc in enumerate(ltcs):
+        for ch in range(len(rcs)):
             out[ch].set(level, kind, values[ch])
             bits[ch].append(codec.channel_bits[ch])
-            ltc.advance(level, kind, dequantize(values[ch], qstep))
+            if ltcs is not None:
+                ltcs[ch].advance(level, kind, dequantize(values[ch], qstep))
         del codec  # its head bias must not overlap the next subband's L_t convs
-    return out, bits, [ltc.final_level() for ltc in ltcs]
+    return out, bits, None if ltcs is None else [ltc.final_level() for ltc in ltcs]
 
 
 def _context_arrays(weights: ModelWeights) -> dict:

@@ -4,6 +4,10 @@ Frequencies are 16-bit (total 65536) and every codable symbol must have a
 nonzero frequency.  Carries propagate through a run of pending 0xFF bytes;
 the leading cache byte is withheld until the first renormalization, so the
 total overhead beyond the information content is at most ~4 bytes.
+
+`RangeEncoder.encode_run` and `RangeDecoder.decode_run` code a whole
+sequence in one loop with the coder state in locals; `encode` and `decode`
+are their one-symbol case.
 """
 
 from __future__ import annotations
@@ -30,31 +34,44 @@ class RangeEncoder:
 
     def encode(self, cum: int, freq: int) -> None:
         """Encode a symbol spanning [cum, cum + freq) of [0, TOTAL)."""
-        if freq <= 0:
-            raise RangeError("zero-probability symbol requested")
-        r = self._range // TOTAL
-        self._low += r * cum
-        self._range = r * freq
-        while self._range < _TOP:
-            self._shift_low()
-            self._range = (self._range << 8) & _MASK32
+        self.encode_run((cum,), (freq,))
 
-    def _shift_low(self):
-        carry = self._low >> 32
-        if self._low < 0xFF000000 or carry:
-            if self._cache is not None:
-                self._out.append((self._cache + carry) & 0xFF)
-            for _ in range(self._pending):
-                self._out.append((0xFF + carry) & 0xFF)
-            self._pending = 0
-            self._cache = (self._low >> 24) & 0xFF
-        else:
-            self._pending += 1
-        self._low = (self._low << 8) & _MASK32
+    def encode_run(self, cums, freqs) -> None:
+        """Encode the symbols spanning [cums[j], cums[j] + freqs[j]) in turn.
+
+        Symbols before a zero-probability one stay encoded when it raises."""
+        low, rng, cache, pending = self._low, self._range, self._cache, self._pending
+        out = self._out
+        try:
+            for cum, freq in zip(cums, freqs):
+                if freq <= 0:
+                    raise RangeError("zero-probability symbol requested")
+                r = rng // TOTAL
+                low += r * cum
+                rng = r * freq
+                while rng < _TOP:
+                    # shift the top byte of low out, through the cache and
+                    # the pending 0xFF run that a carry may still change
+                    carry = low >> 32
+                    if low < 0xFF000000 or carry:
+                        if cache is not None:
+                            out.append((cache + carry) & 0xFF)
+                        if pending:
+                            out += bytes(((0xFF + carry) & 0xFF,)) * pending
+                            pending = 0
+                        cache = (low >> 24) & 0xFF
+                    else:
+                        pending += 1
+                    low = (low << 8) & _MASK32
+                    rng = (rng << 8) & _MASK32
+        finally:
+            self._low, self._range, self._cache, self._pending = low, rng, cache, pending
 
     def finish(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
+        # Symbols at cum 0 leave low as it is; widths 1, 1 and 256 take 2, 2
+        # and 1 shifts to renormalize from any range, the five shifts that
+        # push the cache, the pending bytes and all of low out.
+        self.encode_run((0, 0, 0), (1, 1, 256))
         return bytes(self._out)
 
 
@@ -94,8 +111,34 @@ class RangeDecoder:
 
     def decode(self, cum_table) -> int:
         """Decode against a full cumulative table (cum_table[i+1] > cum_table[i])."""
-        target = self.decode_target()
-        # the last lo in [0, len - 2] with cum_table[lo] <= target (0 if none)
-        lo = bisect_right(cum_table, target, 1, len(cum_table) - 1) - 1
-        self.consume(cum_table[lo], cum_table[lo + 1] - cum_table[lo])
-        return lo
+        return self.decode_run(cum_table, 1)[0]
+
+    def decode_run(self, cum_table, n: int) -> list:
+        """Decode n symbols against one full cumulative table.
+
+        Symbols before a corrupt or missing byte stay consumed when it raises."""
+        data, end, last = self._data, len(self._data), len(cum_table) - 1
+        code, rng, pos = self._code, self._range, self._pos
+        out = []
+        try:
+            for _ in range(n):
+                r = rng // TOTAL
+                target = code // r
+                if target >= TOTAL:  # no encoder leaves the code there
+                    raise RangeError(f"{self._name} corrupt before byte {pos}")
+                # the last lo in [0, len - 2] with cum_table[lo] <= target (0 if none)
+                lo = bisect_right(cum_table, target, 1, last) - 1
+                cum = cum_table[lo]
+                code -= r * cum
+                rng = r * (cum_table[lo + 1] - cum)
+                while rng < _TOP:
+                    if pos >= end:
+                        raise RangeError(f"{self._name} underrun at byte {pos}")
+                    # code < range < 2^24 here, so the shifted code stays under 2^32
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                    rng = (rng << 8) & _MASK32
+                out.append(lo)
+        finally:
+            self._code, self._range, self._pos = code, rng, pos
+        return out

@@ -157,6 +157,27 @@ class TestEncodeDecode:
         assert "truncated" in err
         assert not out.exists()
 
+    def test_non_finite_weights_exit_3_with_one_line(self, workdir):
+        src = workdir / "in.ppm"
+        _write_image(src, np.random.default_rng(8).integers(0, 256, (16, 16, 3),
+                                                            dtype=np.uint8))
+        weights = models.default_weights()
+        weights.set("ctx.ll.h2.b", np.full_like(weights.get("ctx.ll.h2.b"), np.nan))
+        wpath = workdir / "nan.iwtw"
+        wpath.write_bytes(save_weights(weights))
+        out = workdir / "o.iwv3"
+        # in a subprocess, so that a numpy warning would reach stderr
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwv3.cli", "encode", str(src), str(out),
+             "--weights", str(wpath)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "ctx.ll.h2.b" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     def test_bad_input_exit_2(self, workdir, capsys):
         bad = workdir / "bad.ppm"
         bad.write_bytes(b"JUNKJUNK")

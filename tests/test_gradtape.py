@@ -429,6 +429,14 @@ class TestWeightsFile:
         with pytest.raises(ValueError, match="truncated"):
             load_weights(data[:-3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        w = ModelWeights()
+        w.add("x", np.ones(2))
+        w.add("y.b", np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError, match="non-finite value in tensor 'y.b'"):
+            load_weights(save_weights(w))
+
     def test_duplicate_name_rejected(self):
         w = ModelWeights()
         w.add("x", np.ones(2))

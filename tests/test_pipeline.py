@@ -22,6 +22,26 @@ class TestLossless:
         assert hashlib.sha256(packed).hexdigest() == (
             "f82b59f6fef387e4e041e7f8c1ef567f36127e4bbbfe7be8d108b465ba09a503")
 
+    def test_static_model_encoder_builds_no_context(self, monkeypatch):
+        # Under the built-in (all-static) model nothing reads the long-term
+        # context, so the encoder synthesizes none of its levels; the stream
+        # is the golden one.
+        calls = []
+
+        def counted(*args, _inverse=entropy.inverse2d_level):
+            calls.append(1)
+            return _inverse(*args)
+
+        monkeypatch.setattr(entropy, "inverse2d_level", counted)
+        rgb = natural_photo(40, 56, 3)
+        bs = pipeline.encode_rgb(rgb, models.default_weights(), "lossless", levels=3)
+        assert bs.levels == 3 and calls == []
+        packed = bs.pack()
+        assert hashlib.sha256(packed).hexdigest() == (
+            "f82b59f6fef387e4e041e7f8c1ef567f36127e4bbbfe7be8d108b465ba09a503")
+        assert np.array_equal(pipeline.decode_bytes(packed, models.default_weights()), rgb)
+        assert len(calls) == 3 * 2  # the decoder's contexts are its reconstruction
+
     def test_golden_wide_alphabet_streams(self):
         # Random pixels spread the built-in model's subbands over up to 1133
         # values.  The SHA-256 of the streams and of their per-subband model

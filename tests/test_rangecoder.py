@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
 
@@ -104,3 +106,166 @@ class TestRangeCoder:
         payload = rc.finish()
         assert len(payload) <= 5
         RangeDecoder(payload)  # init consumes the 4-byte window
+
+
+class _ReferenceEncoder:
+    """The range encoder spelled out one symbol and one byte shift at a time."""
+
+    def __init__(self):
+        self.low, self.range, self.cache, self.pending = 0, 0xFFFFFFFF, None, 0
+        self.out = bytearray()
+
+    def encode(self, cum, freq):
+        r = self.range // TOTAL
+        self.low += r * cum
+        self.range = r * freq
+        while self.range < 1 << 24:
+            self.shift()
+            self.range = (self.range << 8) & 0xFFFFFFFF
+
+    def shift(self):
+        carry = self.low >> 32
+        if self.low < 0xFF000000 or carry:
+            if self.cache is not None:
+                self.out.append((self.cache + carry) & 0xFF)
+            for _ in range(self.pending):
+                self.out.append((0xFF + carry) & 0xFF)
+            self.pending = 0
+            self.cache = (self.low >> 24) & 0xFF
+        else:
+            self.pending += 1
+        self.low = (self.low << 8) & 0xFFFFFFFF
+
+    def finish(self):
+        for _ in range(5):
+            self.shift()
+        return bytes(self.out)
+
+
+def _table(widths):
+    """Cumulative table with roughly the given widths, one tick at least each."""
+    cum = np.concatenate([[0], np.cumsum(widths)])
+    cum = (cum * (TOTAL / cum[-1])).astype(np.int64)
+    cum[-1] = TOTAL
+    for i in range(1, len(cum)):
+        cum[i] = max(cum[i], cum[i - 1] + 1)
+    return cum.tolist()
+
+
+def _runs(items, cuts):
+    """`items` split at the given cut points (sorted, deduplicated)."""
+    bounds = [0] + sorted({c % (len(items) + 1) for c in cuts}) + [len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _outcome(decode, payload):
+    """Decoded symbols, or the text of the RangeError raised on the way."""
+    try:
+        return decode(RangeDecoder(payload))
+    except RangeError as err:
+        return str(err)
+
+
+# Widths from 1 to 60000 give tables from near-uniform to one near-certain
+# symbol beside one-tick symbols, which drive the long pending 0xFF runs.
+tables = st.lists(st.integers(1, 60000), min_size=2, max_size=40).map(_table)
+
+
+class TestRuns:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables, data=st.data())
+    def test_runs_code_as_single_symbols(self, table, data):
+        k = len(table) - 1
+        symbols = data.draw(st.lists(st.integers(0, k - 1), max_size=400))
+        cuts = data.draw(st.lists(st.integers(0, 400), max_size=6))
+        cums = [table[s] for s in symbols]
+        freqs = [table[s + 1] - table[s] for s in symbols]
+        ref = _ReferenceEncoder()
+        single = RangeEncoder()
+        for cum, freq in zip(cums, freqs):
+            ref.encode(cum, freq)
+            single.encode(cum, freq)
+        runs = RangeEncoder()
+        for part in _runs(list(range(len(symbols))), cuts):
+            runs.encode_run([cums[j] for j in part], [freqs[j] for j in part])
+        payload = ref.finish()
+        assert single.finish() == payload
+        assert runs.finish() == payload
+
+        dec = RangeDecoder(payload)
+        assert [dec.decode(table) for _ in symbols] == symbols
+        dec = RangeDecoder(payload)
+        decoded = [s for part in _runs(symbols, cuts) for s in dec.decode_run(table, len(part))]
+        assert decoded == symbols
+
+    def test_carry_through_pending_run(self):
+        # The one-tick symbol at TOTAL - 2 leaves low's top bytes at 0xFF,
+        # so they join the pending run; the top symbol then carries into it.
+        table = [0, 1, TOTAL // 2, TOTAL - 2, TOTAL - 1, TOTAL]
+        symbols = [3, 3, 3, 4]
+        rc = RangeEncoder()
+        carried = 0
+        for s in symbols:
+            pending, start = rc._pending, len(rc._out)
+            rc.encode(table[s], table[s + 1] - table[s])
+            flushed = rc._out[start + 1 : start + 1 + pending]
+            if pending >= 3 and rc._pending == 0 and flushed == bytes(pending):
+                carried = pending  # the pending 0xFF bytes came out as 0x00
+        assert carried >= 3
+        payload = rc.finish()
+        runs = RangeEncoder()
+        runs.encode_run([table[s] for s in symbols],
+                        [table[s + 1] - table[s] for s in symbols])
+        assert runs.finish() == payload
+        ref = _ReferenceEncoder()
+        for s in symbols:
+            ref.encode(table[s], table[s + 1] - table[s])
+        assert ref.finish() == payload
+        assert RangeDecoder(payload).decode_run(table, len(symbols)) == symbols
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables, data=st.data())
+    def test_truncated_payload_errors_match(self, table, data):
+        k = len(table) - 1
+        symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=300))
+        rc = RangeEncoder()
+        for s in symbols:
+            rc.encode(table[s], table[s + 1] - table[s])
+        payload = rc.finish()
+        payload = payload[: data.draw(st.integers(0, len(payload)))]
+        n = len(symbols)
+        single = _outcome(lambda dec: [dec.decode(table) for _ in range(n)], payload)
+        assert _outcome(lambda dec: dec.decode_run(table, n), payload) == single
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables, payload=st.binary(min_size=4, max_size=64),
+           n=st.integers(1, 200))
+    def test_corrupt_payload_errors_match(self, table, payload, n):
+        single = _outcome(lambda dec: [dec.decode(table) for _ in range(n)], payload)
+        assert _outcome(lambda dec: dec.decode_run(table, n), payload) == single
+
+    def test_target_out_of_range_in_a_run(self):
+        # a code that leaves every symbol's interval after 166 symbols
+        table = [0, 3, TOTAL]
+        payload = bytes.fromhex("01db3e367e574aa43e673556ad97f4ff")
+        dec, decoded = RangeDecoder(payload), 0
+        with pytest.raises(RangeError, match="corrupt before byte") as single:
+            while True:
+                dec.decode(table)
+                decoded += 1
+        assert decoded == 166
+        with pytest.raises(RangeError) as run:
+            RangeDecoder(payload).decode_run(table, 200)
+        assert str(run.value) == str(single.value)
+
+    def test_zero_probability_stops_the_run_where_it_stands(self):
+        table = [0, 100, 100, TOTAL]
+        good = [0, 2, 2, 0, 2]
+        rc = RangeEncoder()
+        with pytest.raises(RangeError, match="zero-probability"):
+            rc.encode_run([table[s] for s in good + [1, 0]],
+                          [table[s + 1] - table[s] for s in good + [1, 0]])
+        ref = RangeEncoder()
+        for s in good:
+            ref.encode(table[s], table[s + 1] - table[s])
+        assert rc.finish() == ref.finish()
