@@ -30,9 +30,10 @@ import numpy as np
 from scipy.special import ndtr as np_ndtr
 
 from . import gradtape as gt
+from . import models
 from .gradtape import ModelWeights, Tensor, save_weights
 from .imageio import padded_size
-from .lifting import SUBBAND_KINDS, SubbandPyramid, inverse2d_level, make_backend
+from .lifting import SubbandPyramid, inverse2d_level
 from .quant import dequantize
 from .rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
 
@@ -272,32 +273,34 @@ _PAIR = np.array([0, 1])
 
 
 def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
-    """Plain float64 context-net arrays for one subband type, masks applied.
+    """The context-net arrays SubbandCodec reads for one subband type.
 
     "s1.taps" and "s2.taps" hold the masked S_t layers in SubbandCodec's
     rolling-buffer order, one matrix per slot t mod _SLOTS: rows indexed by
-    (part, wavefront slot, input channel), then the bias row.  "static" is
-    True when both head weights h1.w and h2.w are all zero: the head then
-    outputs h2.b at every position, whatever the S_t and L_t branches feed
-    it, and SubbandCodec codes the subband with one table.
+    (part, wavefront slot, input channel), then the bias row.  The L_t and
+    head layers are plain float64 arrays under their part names ("l1.w",
+    ..., "h2.b").  "static" is True when both head weights h1.w and h2.w are
+    all zero: the head then outputs h2.b at every position, whatever the S_t
+    and L_t branches feed it, and SubbandCodec codes the subband with one
+    table.
     """
     p = ctx_prefix(kind)
     cw = {}
-    for part in ("s1", "s2", "l1", "l2", "h1", "h2"):
-        cw[f"{part}.w"] = np.ascontiguousarray(weights.get(f"{p}.{part}.w"))
-        cw[f"{part}.b"] = np.ascontiguousarray(weights.get(f"{p}.{part}.b"))
-    cw["s1.w"] = cw["s1.w"] * mask_a()
-    cw["s2.w"] = cw["s2.w"] * mask_b()
+    for part in ("l1", "l2", "h1", "h2"):
+        cw[f"{part}.w"] = np.ascontiguousarray(weights[f"{p}.{part}.w"])
+        cw[f"{part}.b"] = np.ascontiguousarray(weights[f"{p}.{part}.b"])
+    w1 = weights[f"{p}.s1.w"] * mask_a()
+    w2 = weights[f"{p}.s2.w"] * mask_b()
     c = CTX_CHANNELS
     taps1 = np.zeros((_SLOTS, 2, _SLOTS, c))
     taps2 = np.zeros((_SLOTS, 2, _SLOTS, c, c))
     for slot in range(_SLOTS):
         for part, age, ky, kx in _TAPS:
             tap = (slot, part, (slot - age) % _SLOTS)
-            taps1[tap] = cw["s1.w"][:, 0, ky, kx]
-            taps2[tap] = cw["s2.w"][:, :, ky, kx].T
-    bias1 = np.broadcast_to(cw["s1.b"], (_SLOTS, 1, c))
-    bias2 = np.broadcast_to(cw["s2.b"], (_SLOTS, 1, c))
+            taps1[tap] = w1[:, 0, ky, kx]
+            taps2[tap] = w2[:, :, ky, kx].T
+    bias1 = np.broadcast_to(weights[f"{p}.s1.b"], (_SLOTS, 1, c))
+    bias2 = np.broadcast_to(weights[f"{p}.s2.b"], (_SLOTS, 1, c))
     cw["s1.taps"] = np.concatenate([taps1.reshape(_SLOTS, -1, c), bias1], axis=1)
     cw["s2.taps"] = np.concatenate([taps2.reshape(_SLOTS, -1, c), bias2], axis=1)
     cw["static"] = not (cw["h1.w"].any() or cw["h2.w"].any())
@@ -703,10 +706,6 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
     return out, bits, None if ltcs is None else [ltc.final_level() for ltc in ltcs]
 
 
-def _context_arrays(weights: ModelWeights) -> dict:
-    return {kind: extract_context_arrays(weights, kind) for kind in SUBBAND_KINDS}
-
-
 def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
                  true_size) -> Bitstream:
     """Entropy-code three quantized channel pyramids into a bitstream."""
@@ -720,7 +719,7 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
         for level, kind in order:
             if quantgrid.qstep(0, level, kind) != 1.0:
                 raise ValueError("lossless mode forces qstep = 1")
-    backend = make_backend(mode, weights=weights)
+    model = models.prepare(weights)
 
     info = []
     for level, kind in order:
@@ -733,9 +732,10 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
                 f"spans {vmax - vmin + 1} coefficient values (at most {MAX_ALPHABET})")
         info.append((qstep, vmin, vmax))
     tw, th = true_size
-    bs = Bitstream(mode, levels, tw, th, weights_checksum(weights), info, [])
+    bs = Bitstream(mode, levels, tw, th, model.checksum, info, [])
     rcs = [RangeEncoder() for _ in qpyramids]
-    _, bits, _ = code_channel(rcs, bs, _context_arrays(weights), backend, qpyramids)
+    _, bits, _ = code_channel(rcs, bs, model.context_arrays, model.backend(mode),
+                              qpyramids)
     bs.payloads = [rc.finish() for rc in rcs]
     bs.stats = {"subband_bits": [b for ch_bits in bits for b in ch_bits]}
     return bs
@@ -749,14 +749,15 @@ def decode_image(data, weights: ModelWeights):
 def decode_stream(data, weights: ModelWeights):
     """(Bitstream, quantized pyramids, final levels) of a packed stream."""
     bs = data if isinstance(data, Bitstream) else Bitstream.unpack(data)
-    if bs.weight_checksum != weights_checksum(weights):
+    model = models.prepare(weights)
+    if bs.weight_checksum != model.checksum:
         raise WeightChecksumError(
             f"stream was written with different weights "
             f"(checksum {bs.weight_checksum:#018x})")
-    backend = make_backend(bs.mode, weights=weights)
+    backend = model.backend(bs.mode)
     try:
         rcs = [RangeDecoder(p, f"channel {ch} payload") for ch, p in enumerate(bs.payloads)]
-        pyramids, _, finals = code_channel(rcs, bs, _context_arrays(weights), backend)
+        pyramids, _, finals = code_channel(rcs, bs, model.context_arrays, backend)
     except RangeError as err:
         raise StreamError(str(err)) from err
     return bs, pyramids, finals

@@ -456,27 +456,47 @@ WEIGHTS_MAGIC = b"IWTW"
 WEIGHTS_VERSION = 1
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of `values`."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 class ModelWeights:
-    """Ordered store of named float tensors."""
+    """Ordered store of named float64 tensors.
+
+    Each entry is a read-only copy made by `add` or `set`, so a value changes
+    only through them: `weights[name]` and `items()` hand out the stored
+    arrays, which raise on a write, and `get` a writable copy.  `prepared`
+    holds what `models.prepare` derived from these values (None until then);
+    `add` and `set` drop it.
+    """
 
     def __init__(self):
         self._entries: dict[str, np.ndarray] = {}
+        self.prepared = None
 
     def add(self, name: str, values) -> None:
         if name in self._entries:
             raise ValueError(f"duplicate name {name!r}")
-        self._entries[name] = np.asarray(values, dtype=np.float64)
+        self._entries[name] = _frozen(values)
+        self.prepared = None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._entries[name]
 
     def get(self, name: str) -> np.ndarray:
-        return self._entries[name]
+        return self._entries[name].copy()
 
     def set(self, name: str, values) -> None:
         if name not in self._entries:
             raise KeyError(name)
-        arr = np.asarray(values, dtype=np.float64)
+        arr = _frozen(values)
         if arr.shape != self._entries[name].shape:
             raise ValueError(f"shape mismatch for {name!r}")
         self._entries[name] = arr
+        self.prepared = None
 
     def __contains__(self, name):
         return name in self._entries
@@ -491,9 +511,10 @@ class ModelWeights:
         return self._entries.items()
 
     def copy(self) -> "ModelWeights":
+        """An independent store of the same values (the read-only arrays are
+        shared), with nothing prepared."""
         dup = ModelWeights()
-        for name, values in self._entries.items():
-            dup.add(name, values.copy())
+        dup._entries = dict(self._entries)
         return dup
 
 

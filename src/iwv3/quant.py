@@ -80,6 +80,15 @@ def logq_name(level: int, kind: str) -> str:
     return f"q.l{level}.{kind.lower()}.logq"
 
 
+def _exp(x: float) -> float:
+    """math.exp, but inf where it overflows: a step that large is refused
+    by the codec's grid check, not by a traceback."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class QuantGrid:
     """Positive quantization step per (channel, level, subband type)."""
 
@@ -105,7 +114,7 @@ class QuantGrid:
     @classmethod
     def from_weights(cls, weights, levels: int) -> "QuantGrid":
         """Channel-uniform grid from trained log-step parameters."""
-        return cls(levels, {(ch, level, kind): math.exp(float(weights.get(logq_name(level, kind))))
+        return cls(levels, {(ch, level, kind): _exp(float(weights[logq_name(level, kind)]))
                             for ch, level, kind in cls._keys(levels)})
 
     def qstep(self, channel: int, level: int, kind: str) -> float:

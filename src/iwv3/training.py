@@ -253,7 +253,7 @@ class SgdMomentum:
             v = self._vel.get(name)
             v = g if v is None else self.momentum * v + g
             self._vel[name] = v
-            weights.set(name, weights.get(name) - lr * v)
+            weights.set(name, weights[name] - lr * v)
 
 
 def _trainable_names(weights: ModelWeights, stage: int):
@@ -340,10 +340,11 @@ def e2e_soft_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
 def hard_finetune_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
                        opt: SgdMomentum, rng: np.random.Generator) -> LossReport:
     """Stage 3: hard rounding with a random step offset; transform frozen."""
-    levels, _, dq_net = models.validate_weights(weights, cfg.mode)
+    model = models.prepare(weights)
+    levels, _, dq_net = model.validate(cfg.mode)
     offset = float(rng.uniform(-cfg.qstep_offset_range, cfg.qstep_offset_range))
     grid = QuantGrid.from_weights(weights, levels).scaled(offset)
-    backend = make_backend(cfg.mode, weights=weights)
+    backend = model.backend(cfg.mode)
     tape = gt.Tape()
     params = tape.params(weights)
     bits, refined = rd_graph(backend, forward_pyramid(backend, batch, levels),
@@ -441,9 +442,9 @@ def eval_rd(weights: ModelWeights, planes, cfg: TrainConfig) -> LossReport:
     The rate is the coder's own model cross-entropy (`gmm_bits`, tails
     absorbed at each subband's value range), not the training surrogate.
     """
-    levels, _, dq_net = models.validate_weights(weights, cfg.mode)
-    backend = make_backend(cfg.mode, weights=weights)
-    params = gt.constant_params(weights)
+    model = models.prepare(weights)
+    levels, _, dq_net = model.validate(cfg.mode)
+    backend, params = model.backend(cfg.mode), model.params
     quantizer = _hard_quantizer(QuantGrid.from_weights(weights, levels))
 
     def model_bits(kind, s_t, l_t, v):
@@ -487,13 +488,14 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
     returned unchanged whenever the optimized one fails to improve the
     measured RD loss (distortion always against the original).
     """
+    model = models.prepare(weights)
     mode = models.infer_transform_kind(weights)
-    levels, _, dq_net = models.validate_weights(weights, mode)
-    grid = pipeline.build_quantgrid(weights, mode, levels)
+    levels, _, dq_net = model.validate(mode)
+    grid = model.quantgrid(mode, levels)
     planes0 = ImagePlanes.from_rgb(rgb, levels)
     cur = [np.asarray(p, dtype=np.float64) for p in planes0.planes]
-    const_params = gt.constant_params(weights)
-    backend = make_backend(mode, params=const_params)
+    const_params = model.params
+    backend = model.backend(mode)
     rate = partial(rate_bits_tensor, const_params)
 
     def quantizer(level, kind, coeffs):

@@ -40,6 +40,20 @@ def _decode_in_subprocess(stream, out, address_space, *options):
         preexec_fn=limit_address_space)
 
 
+def _encode_in_subprocess(src, out, *options):
+    """Run `iwv3 encode` in its own process, so every stderr line is seen."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "iwv3.cli", "encode", str(src), str(out), *options],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+def _assert_bad_input_one_line(proc, out):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 class TestEncodeDecode:
     def test_lossless_cycle_byte_identical(self, workdir, capsys):
         rgb = natural_photo(20, 30, 1)
@@ -96,6 +110,37 @@ class TestEncodeDecode:
         assert rc == 2
         assert "model cannot code this image" in capsys.readouterr().err
         assert not stream.exists()
+
+    @pytest.mark.parametrize("offset", ["inf", "1e38", "nan"])
+    def test_step_the_header_cannot_carry_exit_2(self, offset, workdir):
+        # 1e38 is finite, but 16 * (1 + 1e38) overflows the header's float32
+        wpath = workdir / "w.iwtw"
+        wpath.write_bytes(save_weights(perturbed_lossy_weights("additive", 2, seed=5)))
+        src, out = workdir / "in.ppm", workdir / "s.iwv3"
+        _write_image(src, natural_photo(8, 8, 7))
+        proc = _encode_in_subprocess(src, out, "--mode", "additive", "--weights", str(wpath),
+                                     f"--qstep-offset={offset}")
+        _assert_bad_input_one_line(proc, out)
+        assert "step" in proc.stderr and "LL2" in proc.stderr
+
+    @pytest.mark.parametrize("logq", [200.0, 1000.0])
+    def test_trained_step_the_header_cannot_carry_exit_2(self, logq, workdir):
+        weights = perturbed_lossy_weights("additive", 2, seed=5)
+        weights.set("q.l1.hh.logq", logq)
+        wpath = workdir / "w.iwtw"
+        wpath.write_bytes(save_weights(weights))
+        src, out = workdir / "in.ppm", workdir / "s.iwv3"
+        _write_image(src, natural_photo(8, 8, 7))
+        proc = _encode_in_subprocess(src, out, "--mode", "additive", "--weights", str(wpath))
+        _assert_bad_input_one_line(proc, out)
+        assert "HH1" in proc.stderr
+
+    def test_levels_past_the_geometry_cap_exit_2_before_padding(self, workdir):
+        src, out = workdir / "in.ppm", workdir / "s.iwv3"
+        _write_image(src, natural_photo(16, 16, 7))
+        proc = _encode_in_subprocess(src, out, "--levels", "20")
+        _assert_bad_input_one_line(proc, out)
+        assert "cap" in proc.stderr
 
     def test_wrong_weights_checksum_exit_3(self, workdir, capsys):
         weights = perturbed_lossy_weights("additive", 2, seed=5)

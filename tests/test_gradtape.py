@@ -442,3 +442,49 @@ class TestWeightsFile:
         w.add("x", np.ones(2))
         with pytest.raises(ValueError, match="duplicate"):
             w.add("x", np.ones(2))
+
+
+class TestWeightsStore:
+    def test_stored_arrays_are_read_only_copies(self):
+        source = np.ones((2, 3))
+        w = ModelWeights()
+        w.add("x", source)
+        source[0, 0] = 5.0  # add kept its own copy
+        assert w["x"][0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w["x"][...] = 0.0
+        for _, values in w.items():
+            with pytest.raises(ValueError, match="read-only"):
+                values.reshape(-1)[0] = 0.0
+        w.set("x", np.full((2, 3), 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            w["x"][0] += 1.0
+
+    def test_get_hands_out_a_writable_copy(self):
+        w = ModelWeights()
+        w.add("x", np.ones(3))
+        arr = w.get("x")
+        arr[...] = 0.0  # write it back with set
+        assert np.array_equal(w["x"], np.ones(3))
+        w.set("x", arr)
+        assert np.array_equal(w["x"], np.zeros(3))
+
+    def test_add_and_set_drop_the_prepared_model(self):
+        w = ModelWeights()
+        w.add("x", np.ones(2))
+        w.prepared = "stale"
+        w.set("x", np.zeros(2))
+        assert w.prepared is None
+        w.prepared = "stale"
+        w.add("y", np.ones(1))
+        assert w.prepared is None
+
+    def test_copy_and_reload_start_unprepared(self):
+        w = ModelWeights()
+        w.add("x", np.arange(4.0))
+        w.prepared = "prepared"
+        dup = w.copy()
+        assert dup.prepared is None and load_weights(save_weights(w)).prepared is None
+        dup.set("x", np.zeros(4))  # the copy is independent
+        assert np.array_equal(w["x"], np.arange(4.0))
+        assert w.prepared == "prepared"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from iwv3 import entropy, lifting, models, pipeline
-from iwv3.entropy import coding_order, decode_image
+from iwv3.entropy import StreamError, WeightChecksumError, coding_order, decode_image
+from iwv3.gradtape import load_weights, save_weights
 from iwv3.imageio import ImagePlanes
 from iwv3.lifting import forward_pyramid, make_backend
 from iwv3.quant import quantize
@@ -165,6 +166,71 @@ class TestLossy:
         grid = pipeline.build_quantgrid(weights, "additive", 2, qstep_offset=0.123)
         for (_, _, _), q in grid.items():
             assert q == float(np.float32(q))
+
+
+class TestPreparedModel:
+    """One Model per weight set: the weights-only work of encode and decode
+    is done once, and any change to the weights starts a new Model."""
+
+    def test_one_checksum_and_context_build_per_weight_set(self, monkeypatch):
+        saves, builds = [], []
+
+        def counted_save(weights, _save=entropy.save_weights):
+            saves.append(1)
+            return _save(weights)
+
+        def counted_extract(weights, kind, _extract=entropy.extract_context_arrays):
+            builds.append(kind)
+            return _extract(weights, kind)
+
+        monkeypatch.setattr(entropy, "save_weights", counted_save)
+        monkeypatch.setattr(entropy, "extract_context_arrays", counted_extract)
+        weights = models.default_weights()
+        for seed in range(3):
+            rgb = natural_photo(12, 20, seed)
+            packed = pipeline.encode_rgb(rgb, weights, "lossless").pack()
+            assert np.array_equal(pipeline.decode_bytes(packed, weights), rgb)
+        assert len(saves) == 1
+        assert sorted(builds) == sorted(lifting.SUBBAND_KINDS)
+
+    def test_set_gives_the_next_stream_the_new_checksum(self):
+        weights = models.default_weights()
+        rgb = natural_photo(12, 20, 4)
+        old = pipeline.encode_rgb(rgb, weights, "lossless").pack()
+        weights.set("ctx.hh.h2.b", weights["ctx.hh.h2.b"] + 0.5)
+        bs = pipeline.encode_rgb(rgb, weights, "lossless")
+        assert bs.weight_checksum == entropy.weights_checksum(weights)
+        assert bs.weight_checksum != entropy.Bitstream.unpack(old).weight_checksum
+        assert np.array_equal(pipeline.decode_bytes(bs.pack(), weights), rgb)
+        with pytest.raises(WeightChecksumError):
+            pipeline.decode_bytes(old, weights)
+
+    def test_copies_and_reloads_get_their_own_model(self):
+        weights = perturbed_lossy_weights("additive", 2, seed=5)
+        model = models.prepare(weights)
+        assert models.prepare(weights) is model
+        for other in (weights.copy(), load_weights(save_weights(weights))):
+            assert models.prepare(other) is not model
+            assert models.prepare(other).checksum == model.checksum
+
+    def test_model_computes_from_the_values_it_was_built_from(self):
+        weights = models.default_weights()
+        model = models.prepare(weights)
+        weights.set("ctx.ll.h2.b", weights["ctx.ll.h2.b"] + 1.0)
+        assert model.checksum == entropy.weights_checksum(models.default_weights())
+        assert models.prepare(weights) is not model
+
+    @pytest.mark.xfail(strict=True, raises=StreamError,
+                       reason="ROADMAP item 2: the header checksum hashes the float32 "
+                              "serialization, and the coder computes with float64 values")
+    def test_float32_reload_decodes_what_float64_weights_encoded(self):
+        weights = perturbed_lossy_weights("additive", 2, seed=4)
+        reloaded = load_weights(save_weights(weights))
+        assert models.prepare(reloaded).checksum == models.prepare(weights).checksum
+        rgb = natural_photo(40, 56, 3)
+        packed = pipeline.encode_rgb(rgb, weights, "additive").pack()
+        assert np.array_equal(pipeline.decode_bytes(packed, reloaded),
+                              pipeline.decode_bytes(packed, weights))
 
 
 class TestGeometry:
