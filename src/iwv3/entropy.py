@@ -13,9 +13,10 @@ one (level, kind) share shape, qstep, value range and context weights, so
 one batch holds the wavefront of all three channels, laid out (row,
 channel); each channel keeps its own long-term context and range coder.
 The decoder regenerates contexts from its own output, so both sides run the
-identical per-wavefront arithmetic and stay symbol-exact.  A context net
-whose head weights are zero (the built-in lossless model) is a static
-prior: its subbands are coded against one table, and the net never runs.
+identical per-wavefront context-net arithmetic and stay symbol-exact.  A
+context net whose head weights are zero (the built-in lossless model) is a
+static prior: its subbands are coded against one table, and the net never
+runs.
 """
 
 from __future__ import annotations
@@ -120,14 +121,14 @@ def context_forward(params, s_t, l_t, kind: str):
     l_t = gt.scale(l_t, CTX_INPUT_SCALE)
     w1 = params[f"{p}.s1.w"]
     ma = Tensor(np.broadcast_to(mask_a(), w1.data.shape).copy())
-    s = gt.relu(gt.conv2d(s_t, gt.mul(w1, ma), params[f"{p}.s1.b"]))
+    s = gt.conv2d_relu(s_t, gt.mul(w1, ma), params[f"{p}.s1.b"])
     w2 = params[f"{p}.s2.w"]
     mb = Tensor(np.broadcast_to(mask_b(), w2.data.shape).copy())
-    s = gt.relu(gt.conv2d(s, gt.mul(w2, mb), params[f"{p}.s2.b"]))
-    g = gt.relu(gt.conv2d(l_t, params[f"{p}.l1.w"], params[f"{p}.l1.b"]))
-    g = gt.relu(gt.conv2d(g, params[f"{p}.l2.w"], params[f"{p}.l2.b"]))
+    s = gt.conv2d_relu(s, gt.mul(w2, mb), params[f"{p}.s2.b"])
+    g = gt.conv2d_relu(l_t, params[f"{p}.l1.w"], params[f"{p}.l1.b"])
+    g = gt.conv2d_relu(g, params[f"{p}.l2.w"], params[f"{p}.l2.b"])
     h = gt.concat_channels([s, g])
-    h = gt.relu(gt.conv2d(h, params[f"{p}.h1.w"], params[f"{p}.h1.b"]))
+    h = gt.conv2d_relu(h, params[f"{p}.h1.w"], params[f"{p}.h1.b"])
     return gt.conv2d(h, params[f"{p}.h2.w"], params[f"{p}.h2.b"])
 
 
@@ -270,6 +271,9 @@ _SLOTS = 4
 _TAPS = ((0, 3, 0, 0), (0, 2, 0, 1), (0, 1, 0, 2), (1, 1, 1, 0), (1, 0, 1, 1))
 # Boundary offsets of a symbol's [Q(k), Q(k + 1)) interval.
 _PAIR = np.array([0, 1])
+# Rows the wavefront encoder collects before it codes them, so the memory
+# they hold stays constant however large the subband.
+_BATCH_ROWS = 1 << 13
 
 
 def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
@@ -344,9 +348,20 @@ class SubbandCodec:
     s (the scaled decoded values) and f1 (the first S_t layer) at
     (i-1, x-1), (i-1, x), (i-1, x+1) and (i, x-1), on wavefronts t-3, t-2,
     t-1 and t-1, so each wavefront is one batch: one matrix product per
-    layer for all of its positions.  The encoder hands each channel's share
-    of a wavefront to one range-coder run; only the decoder's range-coder
-    calls and the refinement rounds of its search are per symbol.
+    layer for all of its positions.  Only those products (f1, f2 and the
+    head's two) need the wavefront's batch shape to keep their bits; the
+    steps after them are row-wise or elementwise and give the same bits in
+    any batch.  So the encoder collects the head outputs and symbols of
+    consecutive wavefronts, and once it holds _BATCH_ROWS rows (or the
+    subband ends) runs the mixture, the two table entries per symbol, one
+    range-coder run per channel and the model-bit sum over all of them.
+    The decoder needs each wavefront's symbols before the next wavefront's
+    products: up to SEARCH_FANOUT symbols, each row's whole table is one
+    batched `quantized_cdf` and each channel's share of the wavefront one
+    range-coder run over the rows' tables (`RangeDecoder.decode_tables`).
+    Wider alphabets keep a per-symbol search whose refinement rounds
+    evaluate only the boundaries they need.  Streams, decoded values and
+    model bits are those of coding every wavefront alone.
 
     A leading channel axis batches B subbands that share shape, qstep,
     (vmin, vmax) and weights but not values, L_t (B, 3, H, W) or range
@@ -400,9 +415,11 @@ class SubbandCodec:
         # window copy by B.
         self._head_bias = np.empty((self.h * self.w, len(l_t), c))
         for ch, lt in enumerate(l_t):
-            g = np.maximum(gt._conv2d_raw(lt[None].astype(np.float64) * CTX_INPUT_SCALE,
-                                          cw["l1.w"], cw["l1.b"]), 0.0)
-            g = np.maximum(gt._conv2d_raw(g, cw["l2.w"], cw["l2.b"]), 0.0)[0]
+            g = gt._conv2d_raw(lt[None].astype(np.float64) * CTX_INPUT_SCALE,
+                               cw["l1.w"], cw["l1.b"])
+            np.maximum(g, 0.0, out=g)
+            g = gt._conv2d_raw(g, cw["l2.w"], cw["l2.b"])[0]
+            np.maximum(g, 0.0, out=g)
             head_bias = (np.tensordot(h1[:, c:], g, axes=([1], [0]))
                          + cw["h1.b"][:, None, None])
             self._head_bias[:, ch] = np.moveaxis(head_bias, 0, -1).reshape(-1, c)
@@ -460,9 +477,13 @@ class SubbandCodec:
             self.channel_bits[ch] = float(np.cumsum(cost[ks])[-1])
 
     def _run_wavefronts(self, rcs, flat: np.ndarray, encode: bool) -> None:
-        """Code `flat` wavefront by wavefront, one context-net batch each."""
+        """Code `flat` wavefront by wavefront, one context-net batch each.
+
+        The encoder codes the rows of consecutive wavefronts together, once
+        at least _BATCH_ROWS of them are collected; the decoder needs each
+        wavefront's symbols before it can compute the next one's rows."""
         nch = len(rcs)
-        h, vmin, alphabet = self.h, self.vmin, self.alphabet
+        h = self.h
         c = CTX_CHANNELS
         s_buf = np.zeros((h + 1, nch, 2 * _SLOTS + 1))
         f_buf = np.zeros((h + 1, nch, 2 * _SLOTS * c + 1))
@@ -471,10 +492,7 @@ class SubbandCodec:
         f_parts = f_buf[..., :-1].reshape(h + 1, nch, 2, _SLOTS, c)
         written = [(0, 0)] * _SLOTS  # buffer rows each slot holds values in
         s_scale = self.qstep * CTX_INPUT_SCALE
-        log2_total = math.log2(TOTAL)
-        bits = self.channel_bits
-        first_pts = _search_points(0, alphabet)
-        first_k = np.array(first_pts)[None, :]
+        raws, values, collected = [], [], 0  # the encoder's uncoded rows
         with np.errstate(over="ignore"):
             for t, lo, hi, diag in _wavefronts(h, self.w):
                 slot = t % _SLOTS
@@ -496,48 +514,89 @@ class SubbandCodec:
                 np.maximum(p1, 0.0, out=p1)
                 raw = p1 @ self._h2
                 raw += self._b_h2
-                mw, u, sigma = _mixture(raw)
 
-                # channel b's symbols are rows b, b + B, ...; its coder
-                # takes them all before the next channel's coder starts
                 if encode:
                     v = flat[diag]
-                    q = quantized_cdf(mw, u, sigma, (v.reshape(-1) - vmin)[:, None] + _PAIR,
-                                      vmin, alphabet)
-                    cums, freqs = q[:, 0].tolist(), (q[:, 1] - q[:, 0]).tolist()
-                    for ch, rc in enumerate(rcs):
-                        rc.encode_run(cums[ch::nch], freqs[ch::nch])
-                        for f in freqs[ch::nch]:
-                            bits[ch] += log2_total - math.log2(f)
+                    raws.append(raw)
+                    values.append(v.reshape(-1))
+                    collected += rows
+                    if collected >= _BATCH_ROWS:
+                        self._encode_rows(rcs, raws, values)
+                        raws, values, collected = [], [], 0
                 else:
-                    table = quantized_cdf(mw, u, sigma, first_k, vmin, alphabet).tolist()
-                    ks = [0] * rows
-                    for ch, rc in enumerate(rcs):
-                        for j in range(ch, rows, nch):
-                            # fixed-fanout search keeping Q(klo) <= target < Q(khi)
-                            target = rc.decode_target()
-                            klo, khi, qlo, qhi = 0, alphabet, 0, TOTAL
-                            pts, qs = first_pts, table[j]
-                            while True:
-                                m = bisect_right(qs, target)
-                                if m:
-                                    klo, qlo = pts[m - 1], qs[m - 1]
-                                if m < len(qs):
-                                    khi, qhi = pts[m], qs[m]
-                                if khi - klo == 1:
-                                    break
-                                pts = _search_points(klo, khi)
-                                qs = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
-                                                   np.array(pts)[None, :], vmin,
-                                                   alphabet)[0].tolist()
-                            rc.consume(qlo, qhi - qlo)
-                            ks[j] = klo
-                    v = flat[diag] = np.array(ks).reshape(n, nch) + vmin
+                    ks = self._decode_rows(rcs, raw)
+                    v = flat[diag] = np.array(ks).reshape(n, nch) + self.vmin
 
                 s = v * s_scale
                 s_parts[lo:hi + 1, :, 1, slot] = s
                 s_parts[lo + 1:hi + 2, :, 0, slot] = s
                 written[slot] = (lo, hi + 2)
+            if raws:
+                self._encode_rows(rcs, raws, values)
+
+    def _encode_rows(self, rcs, raws, values) -> None:
+        """Encode rows of consecutive wavefronts, in coding order: `raws` are
+        their (rows, 3K) head outputs, `values` their symbols.
+
+        Every step is row-wise or elementwise, so each row gets the bits it
+        gets in its wavefront alone, and each channel's model bits add the
+        same per-symbol costs in the same order."""
+        nch = len(rcs)
+        mw, u, sigma = _mixture(np.concatenate(raws))
+        ks = np.concatenate(values) - self.vmin
+        q = quantized_cdf(mw, u, sigma, ks[:, None] + _PAIR, self.vmin, self.alphabet)
+        cums, freqs = q[:, 0].tolist(), (q[:, 1] - q[:, 0]).tolist()
+        log2_total = math.log2(TOTAL)
+        # channel b's symbols are rows b, b + B, ... of every wavefront
+        for ch, rc in enumerate(rcs):
+            rc.encode_run(cums[ch::nch], freqs[ch::nch])
+            cost = log2_total - np.array(list(map(math.log2, freqs[ch::nch])))
+            # cumsum adds in coding order, from the running total
+            self.channel_bits[ch] = float(
+                np.cumsum(np.concatenate(([self.channel_bits[ch]], cost)))[-1])
+
+    def _decode_rows(self, rcs, raw) -> list:
+        """Symbol indices (values - vmin) of one wavefront's rows under their
+        (rows, 3K) head outputs.
+
+        Channel b's symbols are rows b, b + B, ...; its coder takes them all
+        before the next channel's coder starts.  Up to SEARCH_FANOUT symbols,
+        every row's whole table is one batched `quantized_cdf` and a channel
+        is one range-coder run; wider alphabets search each symbol's
+        interval in rounds."""
+        nch, vmin, alphabet = len(rcs), self.vmin, self.alphabet
+        mw, u, sigma = _mixture(raw)
+        rows = len(raw)
+        ks = [0] * rows
+        if alphabet <= SEARCH_FANOUT:
+            tables = quantized_cdf(mw, u, sigma, np.arange(alphabet + 1)[None], vmin,
+                                   alphabet).tolist()
+            for ch, rc in enumerate(rcs):
+                ks[ch::nch] = rc.decode_tables(tables[ch::nch])
+            return ks
+        first_pts = _search_points(0, alphabet)
+        table = quantized_cdf(mw, u, sigma, np.array(first_pts)[None], vmin,
+                              alphabet).tolist()
+        for ch, rc in enumerate(rcs):
+            for j in range(ch, rows, nch):
+                # fixed-fanout search keeping Q(klo) <= target < Q(khi)
+                target = rc.decode_target()
+                klo, khi, qlo, qhi = 0, alphabet, 0, TOTAL
+                pts, qs = first_pts, table[j]
+                while True:
+                    m = bisect_right(qs, target)
+                    if m:
+                        klo, qlo = pts[m - 1], qs[m - 1]
+                    if m < len(qs):
+                        khi, qhi = pts[m], qs[m]
+                    if khi - klo == 1:
+                        break
+                    pts = _search_points(klo, khi)
+                    qs = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
+                                       np.array(pts)[None, :], vmin, alphabet)[0].tolist()
+                rc.consume(qlo, qhi - qlo)
+                ks[j] = klo
+        return ks
 
 
 def encode_subband(values, cw, l_t, qstep, vmin, vmax) -> tuple[bytes, float]:

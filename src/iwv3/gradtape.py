@@ -21,6 +21,16 @@ pyramid's LL band move the round-trip error from 5e-8 to a median of
 (per-tap) is not a free change even though each conv moves by only ~1e-15
 relative.
 
+What can change is how often the same work is done.  On a thin 16->1 layer
+the window copy takes about ten times as long as the product, so convs of
+one input share it: `conv2d_heads` (the affine lifting nets' shift and
+scale heads) builds one window matrix and runs each head's own product on
+it, recording each head as the node `conv2d` would.  `conv2d_relu` is
+relu(conv2d(...)) as one node: the relu runs in place on the conv output,
+the only array the node keeps, and its backward masks with that output's
+> 0, which is the relu input's.  Neither changes a bit of any output or
+gradient.
+
 The backward products feed no stream and are lowered to one GEMM per kernel
 tap (accumulating kn2row): the upstream gradient g (N, O, H, W) is
 zero-padded once into a per-channel flat layout (N, O, (H+2ph+1)*(W+2pw)),
@@ -343,12 +353,11 @@ def slice_channels(a, lo: int, hi: int) -> Tensor:
 # Convolution (stride 1, zero padding preserving H x W, odd kernels)
 # ---------------------------------------------------------------------------
 
-def _conv2d_raw(x, w, b):
+def _window_matrix(x, kh, kw):
+    """The (N*H*W, C*kh*kw) window matrix of x, zero-padded to keep H x W."""
     n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
     m, k = n * h * wd, c * kh * kw
-    out = np.empty((n, o, h, wd))
     # Laid out as np.pad lays it out, so the window view has tensordot's strides.
     xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), x.dtype,
                   order="F" if x.flags.fnc else "C")
@@ -357,7 +366,7 @@ def _conv2d_raw(x, w, b):
     win = np.ndarray((n, h, wd, c, kh, kw), xp.dtype, xp,
                      strides=(sn, sh, sw, sc, sh, sw))
     try:
-        a = win.reshape(m, k, copy=False)  # where tensordot passes a view
+        return win.reshape(m, k, copy=False)  # where tensordot passes a view
     except ValueError:
         # The C-ordered copy tensordot would make, moved one kernel row at a
         # time: kw adjacent samples of a C-ordered pad are one void element.
@@ -367,15 +376,33 @@ def _conv2d_raw(x, w, b):
         rows = np.ndarray((n, h, wd, c, kh), row, xp, strides=(sn, sh, sw, sc, sh))
         a = np.empty((m, k), xp.dtype)
         a.view(row).reshape(rows.shape)[...] = rows
-    res = np.dot(a, w.transpose(1, 2, 3, 0).reshape(k, o))
-    out[...] = res.reshape(n, h, wd, o).transpose(0, 3, 1, 2)
-    if b is not None:
-        out += b[None, :, None, None]
-    return out
+        return a
 
 
-def conv2d(x, w, b=None) -> Tensor:
-    """2D convolution: x (N,C,H,W) with w (O,C,kh,kw) and optional bias (O,)."""
+def _conv2d_heads_raw(x, heads):
+    """[_conv2d_raw(x, w, b) for w, b in heads] from one window matrix: the
+    heads share a kernel size, and each runs the product a lone conv would."""
+    n, _, h, wd = x.shape
+    a = _window_matrix(x, *heads[0][0].shape[2:])
+    outs = []
+    for w, b in heads:
+        o = w.shape[0]
+        out = np.empty((n, o, h, wd))
+        res = np.dot(a, w.transpose(1, 2, 3, 0).reshape(a.shape[1], o))
+        out[...] = res.reshape(n, h, wd, o).transpose(0, 3, 1, 2)
+        if b is not None:
+            out += b[None, :, None, None]
+        outs.append(out)
+    return outs
+
+
+def _conv2d_raw(x, w, b):
+    """Array conv: x (N,C,H,W), w (O,C,kh,kw), b (O,) or None."""
+    return _conv2d_heads_raw(x, [(w, b)])[0]
+
+
+def _conv_operands(x, w, b):
+    """Checked (x, w, b-or-None) tensors of one conv."""
     x, w = _wrap(x), _wrap(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ValueError("conv2d: expected 4-d input and weight")
@@ -384,17 +411,53 @@ def conv2d(x, w, b=None) -> Tensor:
             f"conv2d: channel mismatch {x.data.shape[1]} vs {w.data.shape[1]}")
     if w.data.shape[2] % 2 == 0 or w.data.shape[3] % 2 == 0:
         raise ValueError("conv2d: kernel dims must be odd")
-    parents = (x, w) if b is None else (x, w, _wrap(b))
-    bdata = None if b is None else parents[2].data
-    out = _conv2d_raw(x.data, w.data, bdata)
+    return x, w, None if b is None else _wrap(b)
+
+
+def _conv_node(x, w, b, out, relu=False):
+    """The tape node of a conv whose forward gave `out`, relu'd if `relu`."""
+    parents = (x, w) if b is None else (x, w, b)
 
     def back(g):
+        if relu:
+            g = g * (out > 0)
         dx, dw = _conv2d_back(x.data, w.data, g)
-        if bdata is None:
+        if b is None:
             return (dx, dw)
         return (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return _make(out, parents, back)
+
+
+def conv2d(x, w, b=None) -> Tensor:
+    """2D convolution: x (N,C,H,W) with w (O,C,kh,kw) and optional bias (O,)."""
+    x, w, b = _conv_operands(x, w, b)
+    out = _conv2d_raw(x.data, w.data, None if b is None else b.data)
+    return _conv_node(x, w, b, out)
+
+
+def conv2d_relu(x, w, b=None) -> Tensor:
+    """relu(conv2d(x, w, b)) as one node: the relu runs in place on the conv
+    output, which is all the node keeps.  Its gradient mask out > 0 is the
+    relu's input > 0 (false at -0.0 and NaN alike)."""
+    x, w, b = _conv_operands(x, w, b)
+    out = _conv2d_raw(x.data, w.data, None if b is None else b.data)
+    np.maximum(out, 0.0, out=out)
+    return _conv_node(x, w, b, out, relu=True)
+
+
+def conv2d_heads(x, heads) -> list:
+    """[conv2d(x, w, b) for w, b in heads] from one window matrix of x.
+
+    The heads share a kernel size.  Each output is the node conv2d records,
+    so its value and its gradients are conv2d's."""
+    x = _wrap(x)
+    ops = [_conv_operands(x, w, b) for w, b in heads]
+    if len({w.data.shape[2:] for _, w, _ in ops}) != 1:
+        raise ValueError("conv2d_heads: heads must share a kernel size")
+    outs = _conv2d_heads_raw(x.data, [(w.data, None if b is None else b.data)
+                                      for _, w, b in ops])
+    return [_conv_node(x, w, b, out) for (_, w, b), out in zip(ops, outs)]
 
 
 # Fewest channels of g for which dx takes the per-tap products.  Set from
@@ -614,12 +677,12 @@ def pu_forward(net: PUNet, params, x):
     """Run a P/U net on a 1-channel plane; returns (shift, scale or None)."""
     p = net.prefix
     try:
-        t = relu(conv2d(x, params[f"{p}.c1.w"], params[f"{p}.c1.b"]))
-        t = relu(conv2d(t, params[f"{p}.c2.w"], params[f"{p}.c2.b"]))
+        t = conv2d_relu(x, params[f"{p}.c1.w"], params[f"{p}.c1.b"])
+        t = conv2d_relu(t, params[f"{p}.c2.w"], params[f"{p}.c2.b"])
         if net.kind == "additive":
             return conv2d(t, params[f"{p}.c3.w"], params[f"{p}.c3.b"]), None
-        shift = conv2d(t, params[f"{p}.hs.w"], params[f"{p}.hs.b"])
-        raw = conv2d(t, params[f"{p}.hr.w"], params[f"{p}.hr.b"])
+        shift, raw = conv2d_heads(t, [(params[f"{p}.{head}.w"], params[f"{p}.{head}.b"])
+                                      for head in ("hs", "hr")])
         return shift, exp(clamp(raw, -RAW_SCALE_LIMIT, RAW_SCALE_LIMIT))
     except KeyError as missing:
         raise ValueError(f"kind/weight mismatch: missing {missing}") from None

@@ -46,14 +46,13 @@ class DequantNet:
 def dequant_filter(net: DequantNet, params, plane):
     """Refine a decoded (N,1,H,W) plane; identity when the net is all zeros."""
     try:
-        x = gt.relu(gt.conv2d(gt.scale(plane, INPUT_SCALE),
-                              params["dq.head.w"], params["dq.head.b"]))
+        x = gt.conv2d_relu(gt.scale(plane, INPUT_SCALE),
+                           params["dq.head.w"], params["dq.head.b"])
         for g in range(1, net.groups + 1):
             group_in = x
             for b in range(1, net.blocks + 1):
                 base = f"dq.g{g}.b{b}"
-                y = gt.relu(gt.conv2d(x, params[f"{base}.c1.w"],
-                                      params[f"{base}.c1.b"]))
+                y = gt.conv2d_relu(x, params[f"{base}.c1.w"], params[f"{base}.c1.b"])
                 y = gt.conv2d(y, params[f"{base}.c2.w"], params[f"{base}.c2.b"])
                 x = gt.add(x, y)
             x = gt.add(group_in, x)

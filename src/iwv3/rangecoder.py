@@ -5,14 +5,16 @@ nonzero frequency.  Carries propagate through a run of pending 0xFF bytes;
 the leading cache byte is withheld until the first renormalization, so the
 total overhead beyond the information content is at most ~4 bytes.
 
-`RangeEncoder.encode_run` and `RangeDecoder.decode_run` code a whole
-sequence in one loop with the coder state in locals; `encode` and `decode`
-are their one-symbol case.
+`RangeEncoder.encode_run` and `RangeDecoder.decode_tables` code a whole
+sequence in one loop with the coder state in locals; `decode_tables` takes
+one table per symbol, and `decode_run` is its case of one repeated table.
+`encode` and `decode` are the one-symbol case.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 
 TOTAL_BITS = 16
 TOTAL = 1 << TOTAL_BITS
@@ -114,14 +116,23 @@ class RangeDecoder:
         return self.decode_run(cum_table, 1)[0]
 
     def decode_run(self, cum_table, n: int) -> list:
-        """Decode n symbols against one full cumulative table.
+        """Decode n symbols against one full cumulative table."""
+        return self._decode(repeat(cum_table, n), len(cum_table))
+
+    def decode_tables(self, cum_tables) -> list:
+        """Decode one symbol against each full cumulative table in turn; the
+        tables have one length."""
+        return self._decode(cum_tables, len(cum_tables[0]) if cum_tables else 0)
+
+    def _decode(self, cum_tables, size: int) -> list:
+        """Decode one symbol per table of `size` entries.
 
         Symbols before a corrupt or missing byte stay consumed when it raises."""
-        data, end, last = self._data, len(self._data), len(cum_table) - 1
+        data, end, last = self._data, len(self._data), size - 1
         code, rng, pos = self._code, self._range, self._pos
         out = []
         try:
-            for _ in range(n):
+            for cum_table in cum_tables:
                 r = rng // TOTAL
                 target = code // r
                 if target >= TOTAL:  # no encoder leaves the code there

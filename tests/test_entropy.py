@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from iwv3 import models
+from iwv3 import entropy, models
 from iwv3.entropy import (
     GMM_K,
     MAX_PIXELS,
@@ -436,6 +437,59 @@ class TestSubbandCodec(SubbandPathChecks):
         cw, _, l_t, _, _ = _subband_setup(14, shape=(2, 2))
         with pytest.raises(StreamError, match="too wide"):
             SubbandCodec(cw, l_t[None, :, :2, :2], 1.0, -40000, 40000, (2, 2))
+
+
+def _encoder_batches(shape, nch):
+    """(full batches, rows left for the last one) of the wavefront encoder."""
+    full, collected = 0, 0
+    for _, lo, hi, diag in entropy._wavefronts(*shape):
+        if diag is not None:
+            collected += (hi - lo + 1) * nch
+            if collected >= entropy._BATCH_ROWS:
+                full, collected = full + 1, 0
+    return full, collected
+
+
+class TestEncoderBatches:
+    # Payload and channel-bit digests pinned from per-wavefront coding, the
+    # encoder before it batched wavefronts.
+    @pytest.mark.parametrize("nch, shape, seed, batches, payload_sha, bits_sha", [
+        # past two batches, with rows left over
+        (3, (64, 96), 70, (2, 2028),
+         "8ba56e4b0380c7031820c83bdc7e22f2de95f9418873a2a42621b3b49f1237cd",
+         "d1d8a4318c43e15db7c1dccfbd6f57de682350d0c1035ba9fbb196c671517cf0"),
+        # the last wavefront fills the batch
+        (3, (1, 2731), 71, (1, 0),
+         "3d8a8f304e120b3d5c6cfe15984cf1152b589bc80dc0d88a1f956d16397d4a9d",
+         "f6c3b1f1c9c79efe4ab4724fa1e413e7a60e89edc1be639db51ee05319bc73ed"),
+        (1, (64, 128), 72, (1, 0),
+         "47974623f9d826eed35c5261e063f930fd695531d6c04e69d54be18a3bdd20c5",
+         "e9f077acdaac57dd13cfee0f46151c08fcee0feee7163178faa04267e0706d52"),
+    ])
+    def test_batches_code_as_single_wavefronts(self, nch, shape, seed, batches,
+                                               payload_sha, bits_sha, monkeypatch):
+        assert _encoder_batches(shape, nch) == batches
+        rng = np.random.default_rng(seed)
+        cw = extract_context_arrays(random_ctx_weights(seed), "HH")
+        values = (rng.integers(-20, 21, (nch,) + shape).astype(np.int32)
+                  // rng.integers(1, 4, (nch, 1, 1)))
+        l_t = rng.normal(0, 4, (nch, 3) + shape)
+        vmin, vmax = int(values.min()), int(values.max())
+
+        def encode():
+            rcs = [RangeEncoder() for _ in range(nch)]
+            codec = SubbandCodec(cw, l_t, 1.5, vmin, vmax, shape)
+            codec.run(rcs, values)
+            return [rc.finish() for rc in rcs], codec.channel_bits
+
+        payloads, bits = encode()
+        assert hashlib.sha256(b"".join(payloads)).hexdigest() == payload_sha
+        assert hashlib.sha256(np.array(bits).tobytes()).hexdigest() == bits_sha
+        monkeypatch.setattr(entropy, "_BATCH_ROWS", 1)  # each wavefront alone
+        assert encode() == (payloads, bits)
+        decoded = SubbandCodec(cw, l_t, 1.5, vmin, vmax, shape).run(
+            [RangeDecoder(p) for p in payloads])
+        assert np.array_equal(decoded, values)
 
 
 class TestSubbandCodecStaticPath(SubbandPathChecks):

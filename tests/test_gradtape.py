@@ -274,6 +274,109 @@ class TestConvLowering:
         assert np.array_equal(out.data, raw(x, w, None))
 
 
+def _conv_grads(build, x, params, gs):
+    """Output values and every leaf gradient of `build(x, *params)`, whose
+    outputs are each weighted by the matching upstream gradient in `gs`."""
+    tape = Tape()
+    xl = tape.leaf(x, name="x", requires_grad=True)
+    leaves = [None if p is None else tape.leaf(p, name=f"p{i}", requires_grad=True)
+              for i, p in enumerate(params)]
+    outs = build(xl, *leaves)
+    loss = gt.tsum(gt.mul(outs[0], Tensor(gs[0])))
+    for out, g in zip(outs[1:], gs[1:]):
+        loss = gt.add(loss, gt.tsum(gt.mul(out, Tensor(g))))
+    return [o.data for o in outs], tape.backward(loss)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedConvRelu:
+    @pytest.mark.parametrize("c,o,bias", list(itertools.product((1, 16), (1, 16),
+                                                                 (False, True))))
+    def test_matches_relu_of_conv_bit_for_bit(self, c, o, bias):
+        rng = np.random.default_rng(10 * c + o)
+        x = rng.normal(size=(2, c, 6, 7))
+        x[0, :, 1, 2] = -0.0
+        x[0, :, 4, :] = -0.0  # a row of -0.0 inputs
+        x[1, 0, 3, 3] = np.nan  # NaN outputs, which the mask must drop
+        w = rng.normal(size=(o, c, 3, 3))
+        b = rng.normal(size=o) if bias else None
+        g = rng.normal(size=(2, o, 6, 7))
+        params = (w, b) if bias else (w,)
+        with np.errstate(invalid="ignore"):
+            fused = _conv_grads(lambda *a: [gt.conv2d_relu(*a)], x, params, [g])
+            plain = _conv_grads(lambda *a: [gt.relu(gt.conv2d(*a))], x, params, [g])
+        assert np.isnan(fused[0][0]).any() and (fused[0][0] == 0).any()
+        assert _same_bits(fused[0][0], plain[0][0])
+        assert sorted(fused[1]) == sorted(plain[1])
+        for name in plain[1]:
+            assert _same_bits(fused[1][name], plain[1][name]), name
+
+    def test_keeps_only_its_output(self):
+        tape = Tape()
+        x = tape.leaf(RNG.normal(size=(1, 2, 4, 4)), name="x", requires_grad=True)
+        w = tape.leaf(RNG.normal(size=(3, 2, 3, 3)), name="w", requires_grad=True)
+        before = len(tape._nodes)
+        gt.conv2d_relu(x, w)
+        assert len(tape._nodes) == before + 1
+
+
+class TestSharedWindow:
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_heads_match_separate_convs_in_every_layout(self, k):
+        rng = np.random.default_rng(20 + k)
+        ws = [rng.normal(size=(o, 16, k, k)) for o in (1, 1, 4)]
+        bs = [rng.normal(size=1), None, rng.normal(size=4)]
+        gs = [rng.normal(size=(2, w.shape[0], 5, 9)) for w in ws]
+        params = [p for w, b in zip(ws, bs) for p in (w, b)]
+
+        def heads(x, *p):
+            return gt.conv2d_heads(x, list(zip(p[0::2], p[1::2])))
+
+        def separate(x, *p):
+            return [gt.conv2d(x, w, b) for w, b in zip(p[0::2], p[1::2])]
+
+        for x in _layouts(rng.normal(size=(2, 16, 5, 9))):
+            eager = heads(Tensor(x), *[None if p is None else Tensor(p) for p in params])
+            shared, ref = _conv_grads(heads, x, params, gs), _conv_grads(separate, x, params, gs)
+            for a, b, c in zip(eager, shared[0], ref[0]):
+                assert _same_bits(a.data, c) and _same_bits(b, c)
+            assert sorted(shared[1]) == sorted(ref[1])
+            for name in ref[1]:
+                assert _same_bits(shared[1][name], ref[1][name]), name
+
+    def test_heads_must_share_a_kernel_size(self):
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(ValueError, match="kernel size"):
+            gt.conv2d_heads(x, [(np.zeros((1, 2, 3, 3)), None), (np.zeros((1, 2, 1, 1)), None)])
+
+    @pytest.mark.parametrize("kind", ["additive", "affine"])
+    def test_one_window_per_layer_input(self, kind, monkeypatch):
+        # c1, c2 and the output layer each build one window matrix: the
+        # affine hs and hr heads share the one of the trunk output.
+        built = []
+
+        def counted(x, kh, kw, _build=gt._window_matrix):
+            built.append(x.shape)
+            return _build(x, kh, kw)
+
+        monkeypatch.setattr(gt, "_window_matrix", counted)
+        net = PUNet(kind, "xf.p1")
+        rng = np.random.default_rng(3)
+        params = {n: Tensor(rng.normal(0, 0.3, s)) for n, s in net.weight_shapes().items()}
+        pu_forward(net, params, Tensor(rng.normal(size=(1, 1, 6, 8))))
+        assert built == [(1, 1, 6, 8), (1, 16, 6, 8), (1, 16, 6, 8)]
+        tape = Tape()
+        params = {n: tape.leaf(p.data, name=n, requires_grad=True) for n, p in params.items()}
+        built.clear()
+        shift, sc = pu_forward(net, params, tape.leaf(rng.normal(size=(1, 1, 6, 8))))
+        assert len(built) == 3
+        tape.backward(gt.tsum(shift if sc is None else gt.add(shift, sc)))
+
+
 class TestBackwardContract:
     def test_sum_gradient_is_ones(self):
         tape = Tape()

@@ -62,6 +62,26 @@ class TestLossless:
         assert bits.hexdigest() == (
             "404c02112d9270f13b735c86fe156068014c1318b1159a978dddfc0165882ddd")
 
+    def test_golden_active_head_stream(self):
+        # Fresh lossless weights have active context heads, so every subband
+        # takes the wavefront path: LL3 spans 222 values and is decoded by the
+        # refinement rounds, the others by range-coder runs.  The SHA-256 of
+        # the stream and of its per-subband model bits may change only
+        # together with entropy.STREAM_VERSION.
+        weights = models.init_weights("lossless", 3, seed=7)
+        rgb = natural_photo(40, 56, 3)
+        bs = pipeline.encode_rgb(rgb, weights, "lossless")
+        alphabets = [vmax - vmin + 1 for _, vmin, vmax in bs.subband_info]
+        assert max(alphabets) > entropy.SEARCH_FANOUT >= max(alphabets[1:])
+        packed = bs.pack()
+        assert hashlib.sha256(packed).hexdigest() == (
+            "57fef495cddc5822cc43d67d39ddc3833462724eeabf39d630063cd7e48ae7a2")
+        assert hashlib.sha256(np.array(bs.stats["subband_bits"]).tobytes()).hexdigest() == (
+            "32f1d8b09b895e13738ea29f0878f8f189e93a3288c4829f2b5dff25515c18d0")
+        image = pipeline.decode_bytes(packed, weights)
+        assert hashlib.sha256(image.tobytes()).hexdigest() == (
+            "bf4dbb788cb2678bd54c90ee45c4b5370465da270ee09b4dc124d240db6cb3fd")
+
     def test_round_trip_byte_identical(self):
         rng = np.random.default_rng(0)
         weights = models.default_weights()

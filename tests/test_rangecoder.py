@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,3 +271,68 @@ class TestRuns:
         for s in good:
             ref.encode(table[s], table[s + 1] - table[s])
         assert rc.finish() == ref.finish()
+
+
+def _per_symbol(dec, tables):
+    """decode_tables spelled out: target, bisect and consume per symbol."""
+    out = []
+    for table in tables:
+        target = dec.decode_target()
+        k = bisect_right(table, target, 1, len(table) - 1) - 1
+        dec.consume(table[k], table[k + 1] - table[k])
+        out.append(k)
+    return out
+
+
+def _outcome_and_state(decode, payload):
+    """The decoded symbols or RangeError text, and the decoder state after
+    (None when the payload cannot fill the coder's state)."""
+    try:
+        dec = RangeDecoder(payload)
+    except RangeError as err:
+        return str(err), None
+    try:
+        result = decode(dec)
+    except RangeError as err:
+        result = str(err)
+    return result, (dec._code, dec._range, dec._pos)
+
+
+# Per-symbol tables of one alphabet, as the wavefront decoder's rows give.
+per_symbol_tables = st.integers(2, 24).flatmap(lambda k: st.lists(
+    st.lists(st.integers(1, 60000), min_size=k, max_size=k).map(_table),
+    min_size=1, max_size=200))
+
+
+class TestPerSymbolTables:
+    @settings(max_examples=150, deadline=None)
+    @given(tables=per_symbol_tables, data=st.data())
+    def test_run_decodes_as_single_symbols(self, tables, data):
+        k = len(tables[0]) - 1
+        symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=len(tables),
+                                     max_size=len(tables)))
+        rc = RangeEncoder()
+        rc.encode_run([t[s] for t, s in zip(tables, symbols)],
+                      [t[s + 1] - t[s] for t, s in zip(tables, symbols)])
+        payload = rc.finish()
+        run = _outcome_and_state(lambda dec: dec.decode_tables(tables), payload)
+        assert run == _outcome_and_state(lambda dec: _per_symbol(dec, tables), payload)
+        assert run[0] == symbols
+        cut = payload[: data.draw(st.integers(0, len(payload)))]
+        assert (_outcome_and_state(lambda dec: dec.decode_tables(tables), cut)
+                == _outcome_and_state(lambda dec: _per_symbol(dec, tables), cut))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables=per_symbol_tables, payload=st.binary(min_size=4, max_size=64))
+    def test_corrupt_payload_outcome_and_state_match(self, tables, payload):
+        assert (_outcome_and_state(lambda dec: dec.decode_tables(tables), payload)
+                == _outcome_and_state(lambda dec: _per_symbol(dec, tables), payload))
+
+    def test_repeated_table_is_decode_run(self):
+        table = _table([5, 900, 30000, 2])
+        rc = RangeEncoder()
+        symbols = [2, 1, 2, 3, 0, 2, 2]
+        rc.encode_run([table[s] for s in symbols], [table[s + 1] - table[s] for s in symbols])
+        payload = rc.finish()
+        assert RangeDecoder(payload).decode_tables([table] * 7) == symbols
+        assert RangeDecoder(payload).decode_run(table, 7) == symbols
