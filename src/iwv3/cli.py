@@ -185,26 +185,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # checked in order, first match wins, as in a chain of except clauses
+    exit_codes = ((WeightsError, EXIT_WEIGHTS), (WeightChecksumError, EXIT_WEIGHTS),
+                  (StreamError, EXIT_STREAM), (RangeError, EXIT_STREAM),
+                  (training.TrainingError, EXIT_LOSS), (FormatError, EXIT_BAD_INPUT),
+                  (OSError, EXIT_IO), (ValueError, EXIT_BAD_INPUT))
     try:
         return args.run(args)
-    except (WeightsError, WeightChecksumError) as err:
+    except tuple(kind for kind, _ in exit_codes) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_WEIGHTS
-    except (StreamError, RangeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_STREAM
-    except training.TrainingError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_LOSS
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return next(code for kind, code in exit_codes if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -54,8 +54,9 @@ MAX_PIXELS = 1 << 24
 # of the range coder's TOTAL counts per symbol and keeps at least as many
 # for the model's share.
 MAX_ALPHABET = TOTAL // 2
-# Boundaries the decoder evaluates per round of its search: alphabets up to
-# this size get their whole table in the first round.
+# Alphabets up to this size get their whole table at once in the decoder;
+# wider ones are split into at least this many brackets, then one bracket's
+# table.
 SEARCH_FANOUT = 64
 MODE_CODES = {"lossless": 0, "additive": 1, "affine": 2}
 MODE_NAMES = {v: k for k, v in MODE_CODES.items()}
@@ -142,13 +143,13 @@ class GmmParams:
 
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "GmmParams":
-        """Map 3K raw channels to weights (softmax), means, stds (exp, floored)."""
-        rw, ru, rs = raw[:GMM_K], raw[GMM_K : 2 * GMM_K], raw[2 * GMM_K :]
-        m = rw.max(axis=0, keepdims=True)
-        e = np.exp(rw - m)
+        """Map 3K raw channels to weights (softmax), means, stds (exp, floored):
+        `_mixture` on a (positions, 3K) copy of raw."""
+        positions = np.moveaxis(raw, 0, -1).copy()
         with np.errstate(over="ignore"):
-            sigma = np.maximum(np.exp(rs), SIGMA_FLOOR)
-        return cls(e / e.sum(axis=0, keepdims=True), ru.copy(), sigma)
+            parts = _mixture(positions.reshape(-1, 3 * GMM_K))
+        return cls(*(np.moveaxis(p, -1, 0).reshape((GMM_K,) + raw.shape[1:])
+                     for p in parts))
 
 
 def _mass(params: GmmParams, values, vmin: int, vmax: int) -> np.ndarray:
@@ -248,16 +249,6 @@ def quantized_cdf(w, u, sigma, k, vmin: int, alphabet: int) -> np.ndarray:
     return np.where(k <= 0, 0, np.where(k >= alphabet, TOTAL, q))
 
 
-def _search_points(klo: int, khi: int) -> list:
-    """Boundary indices strictly inside (klo, khi) that one round of the
-    decoder's search evaluates: all of them, or SEARCH_FANOUT - 1 evenly
-    spaced ones."""
-    span = khi - klo
-    if span <= SEARCH_FANOUT:
-        return list(range(klo + 1, khi))
-    return [klo + j * span // SEARCH_FANOUT for j in range(1, SEARCH_FANOUT)]
-
-
 # ---------------------------------------------------------------------------
 # Wavefront subband codec (shared by encoder and decoder)
 # ---------------------------------------------------------------------------
@@ -341,6 +332,17 @@ def _mixture(raw: np.ndarray):
     return mw, raw[:, GMM_K : 2 * GMM_K], np.maximum(ex[:, 2 * GMM_K :], SIGMA_FLOOR)
 
 
+def _costs(freqs: np.ndarray) -> np.ndarray:
+    """Model bits log2(TOTAL / f) of each frequency f, per element.
+
+    A non-finite mixture can leave a table out of order (on x86 the inner
+    entries at INT64_MIN + k): a width that comes out zero or negative costs
+    inf, and encode_run refuses it before its cost is added."""
+    log2_total = math.log2(TOTAL)
+    return np.array([log2_total - math.log2(f) if f > 0 else math.inf
+                     for f in freqs.tolist()])
+
+
 class SubbandCodec:
     """Range coding of a subband under the context net, by wavefronts.
 
@@ -359,9 +361,9 @@ class SubbandCodec:
     products: up to SEARCH_FANOUT symbols, each row's whole table is one
     batched `quantized_cdf` and each channel's share of the wavefront one
     range-coder run over the rows' tables (`RangeDecoder.decode_tables`).
-    Wider alphabets keep a per-symbol search whose refinement rounds
-    evaluate only the boundaries they need.  Streams, decoded values and
-    model bits are those of coding every wavefront alone.
+    Wider alphabets take one batched table of bracket boundaries, then one
+    bracket's table per symbol.  Streams, decoded values and model bits are
+    those of coding every wavefront alone.
 
     A leading channel axis batches B subbands that share shape, qstep,
     (vmin, vmax) and weights but not values, L_t (B, 3, H, W) or range
@@ -415,11 +417,8 @@ class SubbandCodec:
         # window copy by B.
         self._head_bias = np.empty((self.h * self.w, len(l_t), c))
         for ch, lt in enumerate(l_t):
-            g = gt._conv2d_raw(lt[None].astype(np.float64) * CTX_INPUT_SCALE,
-                               cw["l1.w"], cw["l1.b"])
-            np.maximum(g, 0.0, out=g)
-            g = gt._conv2d_raw(g, cw["l2.w"], cw["l2.b"])[0]
-            np.maximum(g, 0.0, out=g)
+            g = gt.conv2d_relu(lt[None] * CTX_INPUT_SCALE, cw["l1.w"], cw["l1.b"])
+            g = gt.conv2d_relu(g, cw["l2.w"], cw["l2.b"]).data[0]
             head_bias = (np.tensordot(h1[:, c:], g, axes=([1], [0]))
                          + cw["h1.b"][:, None, None])
             self._head_bias[:, ch] = np.moveaxis(head_bias, 0, -1).reshape(-1, c)
@@ -463,18 +462,9 @@ class SubbandCodec:
             for ch, rc in enumerate(rcs):
                 flat[order, ch] = np.array(rc.decode_run(table, h * w)) + vmin
             return
-        # A non-finite h2.b can leave the table out of order (on x86 the
-        # inner entries at INT64_MIN + k): the widths that come out
-        # negative, encode_run refuses before their cost is added.
         freq = np.diff(cum)
-        log2_total = math.log2(TOTAL)
-        cost = np.array([log2_total - math.log2(f) if f > 0 else math.inf
-                         for f in freq.tolist()])
-        for ch, rc in enumerate(rcs):
-            ks = flat[order, ch] - vmin
-            rc.encode_run(cum[ks].tolist(), freq[ks].tolist())
-            # cumsum adds in coding order, as the per-symbol sum did
-            self.channel_bits[ch] = float(np.cumsum(cost[ks])[-1])
+        ks = flat[order] - vmin
+        self._encode_symbols(rcs, cum[ks], freq[ks], _costs(freq)[ks])
 
     def _run_wavefronts(self, rcs, flat: np.ndarray, encode: bool) -> None:
         """Code `flat` wavefront by wavefront, one context-net batch each.
@@ -541,19 +531,24 @@ class SubbandCodec:
         Every step is row-wise or elementwise, so each row gets the bits it
         gets in its wavefront alone, and each channel's model bits add the
         same per-symbol costs in the same order."""
-        nch = len(rcs)
         mw, u, sigma = _mixture(np.concatenate(raws))
         ks = np.concatenate(values) - self.vmin
         q = quantized_cdf(mw, u, sigma, ks[:, None] + _PAIR, self.vmin, self.alphabet)
-        cums, freqs = q[:, 0].tolist(), (q[:, 1] - q[:, 0]).tolist()
-        log2_total = math.log2(TOTAL)
+        freqs = q[:, 1] - q[:, 0]
         # channel b's symbols are rows b, b + B, ... of every wavefront
+        nch = len(rcs)
+        self._encode_symbols(rcs, q[:, 0].reshape(-1, nch), freqs.reshape(-1, nch),
+                             _costs(freqs).reshape(-1, nch))
+
+    def _encode_symbols(self, rcs, cums, freqs, cost) -> None:
+        """Encode (symbols, B) intervals [cums, cums + freqs) in coding order,
+        column b through rcs[b], and add their costs to the channels' model
+        bits."""
         for ch, rc in enumerate(rcs):
-            rc.encode_run(cums[ch::nch], freqs[ch::nch])
-            cost = log2_total - np.array(list(map(math.log2, freqs[ch::nch])))
+            rc.encode_run(cums[:, ch].tolist(), freqs[:, ch].tolist())
             # cumsum adds in coding order, from the running total
             self.channel_bits[ch] = float(
-                np.cumsum(np.concatenate(([self.channel_bits[ch]], cost)))[-1])
+                np.cumsum(np.concatenate(([self.channel_bits[ch]], cost[:, ch])))[-1])
 
     def _decode_rows(self, rcs, raw) -> list:
         """Symbol indices (values - vmin) of one wavefront's rows under their
@@ -562,8 +557,10 @@ class SubbandCodec:
         Channel b's symbols are rows b, b + B, ...; its coder takes them all
         before the next channel's coder starts.  Up to SEARCH_FANOUT symbols,
         every row's whole table is one batched `quantized_cdf` and a channel
-        is one range-coder run; wider alphabets search each symbol's
-        interval in rounds."""
+        is one range-coder run.  A wider alphabet is searched in two steps:
+        one batched `quantized_cdf` of every row at the evenly spaced
+        boundaries of at least SEARCH_FANOUT brackets, whose bisection finds
+        a symbol's bracket, then that bracket's whole table."""
         nch, vmin, alphabet = len(rcs), self.vmin, self.alphabet
         mw, u, sigma = _mixture(raw)
         rows = len(raw)
@@ -574,28 +571,27 @@ class SubbandCodec:
             for ch, rc in enumerate(rcs):
                 ks[ch::nch] = rc.decode_tables(tables[ch::nch])
             return ks
-        first_pts = _search_points(0, alphabet)
-        table = quantized_cdf(mw, u, sigma, np.array(first_pts)[None], vmin,
-                              alphabet).tolist()
+        # about sqrt(alphabet) brackets of about sqrt(alphabet) symbols: the
+        # fewest entries the two tables evaluate per symbol
+        brackets = max(SEARCH_FANOUT, math.isqrt(alphabet))
+        bounds = [i * alphabet // brackets for i in range(brackets + 1)]
+        coarse = quantized_cdf(mw, u, sigma, np.array(bounds)[None], vmin,
+                               alphabet).tolist()
         for ch, rc in enumerate(rcs):
             for j in range(ch, rows, nch):
-                # fixed-fanout search keeping Q(klo) <= target < Q(khi)
+                # the last bracket, then the last symbol, whose lower boundary
+                # is <= target; as in RangeDecoder, the ends are not searched
                 target = rc.decode_target()
-                klo, khi, qlo, qhi = 0, alphabet, 0, TOTAL
-                pts, qs = first_pts, table[j]
-                while True:
-                    m = bisect_right(qs, target)
-                    if m:
-                        klo, qlo = pts[m - 1], qs[m - 1]
-                    if m < len(qs):
-                        khi, qhi = pts[m], qs[m]
-                    if khi - klo == 1:
-                        break
-                    pts = _search_points(klo, khi)
-                    qs = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
-                                       np.array(pts)[None, :], vmin, alphabet)[0].tolist()
-                rc.consume(qlo, qhi - qlo)
-                ks[j] = klo
+                m = bisect_right(coarse[j], target, 1, brackets)
+                klo, khi = bounds[m - 1], bounds[m]
+                table = coarse[j][m - 1 : m + 1]  # a one-symbol bracket's table
+                if khi - klo > 1:
+                    table = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
+                                          np.arange(klo, khi + 1)[None], vmin,
+                                          alphabet)[0].tolist()
+                i = bisect_right(table, target, 1, len(table) - 1) - 1
+                rc.consume(table[i], table[i + 1] - table[i])
+                ks[j] = klo + i
         return ks
 
 

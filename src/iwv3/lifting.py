@@ -173,13 +173,6 @@ def _inv_axis(backend, l, h, axis):
     return np.moveaxis(merge(x_e, x_o), -1, axis)
 
 
-def _plane_axes(plane):
-    # (row axis, column axis): last two dims for arrays, (3, 2) for tensors
-    if isinstance(plane, Tensor):
-        return 3, 2
-    return plane.ndim - 1, plane.ndim - 2
-
-
 def _plane_hw(plane):
     shape = plane.data.shape if isinstance(plane, Tensor) else np.shape(plane)
     return shape[-2], shape[-1]
@@ -218,10 +211,9 @@ def transform2d_level(backend, plane):
     if wrapped:
         ndim = np.asarray(plane).ndim
         plane = _wrap_plane(plane)
-    ax_w, ax_h = _plane_axes(plane)
-    row_l, row_h = _fwd_axis(backend, plane, ax_w)
-    ll, lh = _fwd_axis(backend, row_l, ax_h)
-    hl, hh = _fwd_axis(backend, row_h, ax_h)
+    row_l, row_h = _fwd_axis(backend, plane, -1)
+    ll, lh = _fwd_axis(backend, row_l, -2)
+    hl, hh = _fwd_axis(backend, row_h, -2)
     if wrapped:
         return tuple(_unwrap_plane(g, ndim) for g in (ll, hl, lh, hh))
     return ll, hl, lh, hh
@@ -235,10 +227,9 @@ def inverse2d_level(backend, ll, hl, lh, hh):
     if wrapped:
         ndim = np.asarray(ll).ndim
         ll, hl, lh, hh = (_wrap_plane(g) for g in (ll, hl, lh, hh))
-    ax_w, ax_h = _plane_axes(ll)
-    row_l = _inv_axis(backend, ll, lh, ax_h)
-    row_h = _inv_axis(backend, hl, hh, ax_h)
-    out = _inv_axis(backend, row_l, row_h, ax_w)
+    row_l = _inv_axis(backend, ll, lh, -2)
+    row_h = _inv_axis(backend, hl, hh, -2)
+    out = _inv_axis(backend, row_l, row_h, -1)
     return _unwrap_plane(out, ndim) if wrapped else out
 
 

@@ -87,7 +87,8 @@ class TrainConfig:
 
     @classmethod
     def parse(cls, text: str) -> "TrainConfig":
-        values = {}
+        types = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(cls)}
+        kwargs = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -98,20 +99,9 @@ class TrainConfig:
             key = key.strip()
             if key == "lambda":
                 key = "lam"
-            raw = raw.strip()
-            values[key] = raw
-        kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
-        for key, raw in values.items():
-            if key not in by_name:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            typ = by_name[key].type
-            if typ == "int":
-                kwargs[key] = int(raw)
-            elif typ == "float":
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw
+            kwargs[key] = types[key](raw.strip())
         return cls(**kwargs)
 
 
@@ -150,11 +140,7 @@ def loss_rd(original, reconstructed, rate_bits: float, lam: float,
 # Loss graphs
 # ---------------------------------------------------------------------------
 
-def _const(arr) -> Tensor:
-    return Tensor(np.asarray(arr, dtype=np.float64))
-
-
-def rate_bits_tensor(params, kind: str, s_t: Tensor, l_t: Tensor, v: Tensor) -> Tensor:
+def rate_bits_tensor(params, kind: str, s_t, l_t: Tensor, v: Tensor) -> Tensor:
     """Total -log2 mixture mass of values v given context grids (tensor graph)."""
     raw = context_forward(params, s_t, l_t, kind)
     k = GMM_K
@@ -163,10 +149,10 @@ def rate_bits_tensor(params, kind: str, s_t: Tensor, l_t: Tensor, v: Tensor) -> 
     rs = [gt.slice_channels(raw, 2 * k + i, 2 * k + i + 1) for i in range(k)]
     # stable softmax: shifting by a constant leaves the value and gradient
     # of the softmax unchanged
-    m = _const(np.max(np.stack([t.data for t in rw]), axis=0))
+    m = Tensor(np.max(np.stack([t.data for t in rw]), axis=0))
     e = [gt.exp(gt.sub(t, m)) for t in rw]
     denom = gt.reciprocal(gt.add(gt.add(e[0], e[1]), e[2]))
-    half = _const(np.full(v.data.shape, 0.5))
+    half = Tensor(np.full(v.data.shape, 0.5))
     v_hi = gt.add(v, half)
     v_lo = gt.sub(v, half)
     mass = None
@@ -181,27 +167,14 @@ def rate_bits_tensor(params, kind: str, s_t: Tensor, l_t: Tensor, v: Tensor) -> 
     return gt.scale(gt.tsum(gt.log(safe)), -1.0 / LN2)
 
 
-def _tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else _const(x)
-
-
-def _lt_tensor(grids, like: Tensor) -> Tensor:
-    parts = []
-    for g in grids:
-        if g is None:
-            parts.append(_const(np.zeros(like.data.shape)))
-        else:
-            parts.append(_tensor(g))
-    return gt.concat_channels(parts)
-
-
 def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
     """The rate/distortion chain shared by every training and evaluation graph.
 
     Walks the subbands of `pyr` in coding order.  `quantizer(level, kind,
     coeffs)` returns a subband's (values, dequantized grid); `rate(kind, s_t,
-    l_t, values)` charges the values' bits given the dequantized grid and the
-    long-term context of the grids coded before it.  The context's final
+    l_t, values)` charges the values' bits given the dequantized grid s_t, as
+    the quantizer returned it, and the long-term context of the grids coded
+    before it; l_t and values are Tensors.  The context's final
     level is then inverted and refined by the dequantization filter.  Returns
     (bits, refined).  Grids stay arrays when the quantizer returns arrays, so
     a hard quantizer keeps the transform chain off the tape.
@@ -210,13 +183,13 @@ def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
     bits = None
     for level, kind in coding_order(pyr.levels):
         values, grid = quantizer(level, kind, pyr.get(level, kind))
-        s_t = _tensor(grid)
-        l_t = _lt_tensor(ltc.stack_for(level, kind), s_t)
-        term = rate(kind, s_t, l_t, _tensor(values))
+        l_t = gt.concat_channels([np.zeros(np.shape(grid)) if g is None else g
+                                  for g in ltc.stack_for(level, kind)])
+        term = rate(kind, grid, l_t, gt._wrap(values))
         bits = term if bits is None else bits + term
         ltc.advance(level, kind, grid)
     recon = inverse_pyramid(backend, ltc.final_level())
-    return bits, dequant_filter(dq_net, params, _tensor(recon))
+    return bits, dequant_filter(dq_net, params, recon)
 
 
 def _hard_quantizer(grid: QuantGrid):
@@ -232,7 +205,7 @@ def _rd_loss(bits, refined: Tensor, original: np.ndarray, lam: float):
     """bpp + lam * (Frobenius error / sqrt(pixels)); (total, LossReport)."""
     n = original.size
     bpp = gt.scale(bits, 1.0 / n)
-    diff = gt.sub(refined, _const(original))
+    diff = gt.sub(refined, original)
     l_obj = gt.scale(gt.sqrt(gt.tsum(gt.mul(diff, diff))), 1.0 / math.sqrt(n))
     total = gt.add(bpp, gt.scale(l_obj, lam))
     return total, LossReport(float(bpp.data), float(l_obj.data), float(total.data))
@@ -288,7 +261,7 @@ def pretrain_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
         _hard_quantizer(QuantGrid.uniform(levels, cfg.pretrain_qstep)),
         partial(rate_bits_tensor, params), params, dq_net)
     bpp = gt.scale(bits, 1.0 / batch.size)
-    diff = gt.sub(refined, _const(batch))
+    diff = gt.sub(refined, batch)
     mse = gt.tmean(gt.mul(diff, diff))
     total = gt.add(bpp, gt.scale(mse, cfg.lam))
 
@@ -321,7 +294,7 @@ def soft_rd_graph(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
         v = soft_to_hard_quant(y, alpha, rng.uniform(-0.5, 0.5, size=y.data.shape))
         return v, gt.smul(v, q)
 
-    bits, refined = rd_graph(backend, forward_pyramid(backend, _const(batch), levels),
+    bits, refined = rd_graph(backend, forward_pyramid(backend, Tensor(batch), levels),
                              quantizer, partial(rate_bits_tensor, params), params, dq_net)
     total, report = _rd_loss(bits, refined, batch, cfg.lam)
     return tape, total, report

@@ -263,6 +263,30 @@ class TestGmm:
             assert abs(total - 1.0) < 1e-9
 
 
+    @pytest.mark.parametrize("kind", ["random", "extreme_logits", "nan"])
+    def test_from_raw_matches_the_per_channel_formula(self, kind):
+        rng = np.random.default_rng(10)
+        for shape in [(3 * GMM_K,), (3 * GMM_K, 1, 1), (3 * GMM_K, 5, 7)]:
+            raw = rng.normal(0, 3, shape)
+            if kind == "extreme_logits":
+                raw[:GMM_K] = rng.choice([-1000.0, 1000.0], (GMM_K,) + shape[1:])
+                raw[:GMM_K, ...].flat[0] = 1000.0
+            elif kind == "nan":
+                raw.flat[rng.integers(0, raw.size, 4)] = np.nan
+            kept = raw.copy()
+            # the mixture map as written per channel: softmax, means, floored exp
+            rw, ru, rs = raw[:GMM_K], raw[GMM_K : 2 * GMM_K], raw[2 * GMM_K :]
+            with np.errstate(invalid="ignore"):
+                e = np.exp(rw - rw.max(axis=0, keepdims=True))
+                w = e / e.sum(axis=0, keepdims=True)
+                sigma = np.maximum(np.exp(rs), entropy.SIGMA_FLOOR)
+                gmm = GmmParams.from_raw(raw)
+            for got, want in ((gmm.w, w), (gmm.u, ru), (gmm.sigma, sigma)):
+                assert got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert raw.tobytes() == kept.tobytes()  # the caller's raw is left as it was
+
+
 class TestQuantizedCdf:
     def test_strictly_increasing_and_complete(self):
         rng = np.random.default_rng(9)
@@ -490,6 +514,86 @@ class TestEncoderBatches:
         decoded = SubbandCodec(cw, l_t, 1.5, vmin, vmax, shape).run(
             [RangeDecoder(p) for p in payloads])
         assert np.array_equal(decoded, values)
+
+
+def _wide_subband(alphabet, seed, shape=(5, 7)):
+    """Active context weights and values over an alphabet wider than
+    SEARCH_FANOUT, among them both range ends and the values on either side
+    of the first, second and last bracket boundaries."""
+    rng = np.random.default_rng(seed)
+    cw = extract_context_arrays(random_ctx_weights(seed), "LH")
+    vmin = -(alphabet // 2)
+    vmax = vmin + alphabet - 1
+    values = rng.integers(vmin, vmax + 1, shape).astype(np.int32)
+    bounds = [vmin + i * alphabet // entropy.SEARCH_FANOUT
+              for i in (1, 2, entropy.SEARCH_FANOUT - 1)]
+    edges = [vmin, vmax, vmin + 1, vmax - 1] + bounds + [b - 1 for b in bounds]
+    values.flat[:len(edges)] = edges
+    # values near the mixture's mode, where the widest intervals lie
+    values.flat[len(edges):len(edges) + 8] = rng.integers(-3, 4, 8)
+    l_t = rng.normal(0, 4, (3,) + shape)
+    return cw, values, l_t, vmin, vmax
+
+
+class TestWideAlphabetSearch:
+    # Streams, model bits, decoded values and error texts pinned from the
+    # decoder's earlier search, which refined each symbol's interval in
+    # rounds of up to SEARCH_FANOUT boundaries.
+    @pytest.mark.parametrize(
+        "alphabet, seed, payload_sha, bits, truncated, garbage_sha, corrupt_seed, corrupt", [
+            (65, 80, "13bfe5f508f0925cbcfe749f762830b95a13665f3ccbb5d8305995b23736dcfc",
+             "0x1.cc838fe8ab840p+7", "payload underrun at byte 16",
+             "9fed1e98def0936128eead072762fe0580cadbf5814f766248b62761263c47f2",
+             8, "payload corrupt before byte 9"),
+            (4097, 81, "85ff063f9567e9109e53a59415a4e3079d80a6493eb1808332de621a6635d18b",
+             "0x1.d1258bc9183ecp+8", "payload underrun at byte 31",
+             "b8c1e94cce2619dbc735dd452ae91b13c61bfb82a9705d696a3c695e127bce7a",
+             68, "payload corrupt before byte 29"),
+            (32767, 82, "757e4998ce043d17aef9fff228351c0b3e78697e0742f1a2eefef739b87aba98",
+             "0x1.d729fb418c802p+8", "payload underrun at byte 31",
+             "3c8823e6f543703a661571e9680f7e499ba7316e1abb84061485ddb77dcbaf22",
+             20, "payload corrupt before byte 11"),
+        ])
+    def test_pinned_streams_and_errors(self, alphabet, seed, payload_sha, bits, truncated,
+                                       garbage_sha, corrupt_seed, corrupt):
+        cw, values, l_t, vmin, vmax = _wide_subband(alphabet, seed)
+
+        def decode(payload):
+            return decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape)
+
+        payload, model_bits = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
+        assert hashlib.sha256(payload).hexdigest() == payload_sha
+        assert model_bits == float.fromhex(bits)
+        assert np.array_equal(decode(payload), values)
+        with pytest.raises(RangeError) as info:
+            decode(payload[: len(payload) // 2])
+        assert str(info.value) == truncated
+        # random bytes decode to some symbols, or stop where the code leaves
+        # every symbol's interval
+        garbage = decode(np.random.default_rng(seed + 256).bytes(256))
+        assert hashlib.sha256(garbage.tobytes()).hexdigest() == garbage_sha
+        with pytest.raises(RangeError) as info:
+            decode(np.random.default_rng(corrupt_seed).bytes(64))
+        assert str(info.value) == corrupt
+
+    @pytest.mark.parametrize("alphabet", [1 << 13, 20001, entropy.MAX_ALPHABET])
+    def test_one_table_per_symbol_after_each_wavefront(self, alphabet, monkeypatch):
+        cw, values, l_t, vmin, vmax = _wide_subband(alphabet, 83)
+        payload, _ = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
+        sizes = []
+
+        def counted(w, u, sigma, k, *args):
+            sizes.append(k.shape[1])
+            return quantized_cdf(w, u, sigma, k, *args)
+
+        monkeypatch.setattr(entropy, "quantized_cdf", counted)
+        assert np.array_equal(
+            decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape), values)
+        wavefronts = sum(diag is not None for *_, diag in entropy._wavefronts(*values.shape))
+        assert len(sizes) == wavefronts + values.size
+        # about sqrt(alphabet) brackets of about sqrt(alphabet) symbols each
+        brackets = math.isqrt(alphabet)
+        assert max(sizes) <= -(-alphabet // brackets) + 1 <= brackets + 3
 
 
 class TestSubbandCodecStaticPath(SubbandPathChecks):

@@ -88,6 +88,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             TrainConfig.parse("warp_speed = 9\n")
 
+    def test_first_bad_line_is_reported(self):
+        with pytest.raises(ValueError, match="config line 2: expected key=value"):
+            TrainConfig.parse("seed = 1\nno equals sign\nnor here\n")
+        with pytest.raises(ValueError, match="unknown config key 'warp'"):
+            TrainConfig.parse("warp = 1\nspeed = 2\n")
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            TrainConfig.parse("seed = one\nlambda = two\n")
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            TrainConfig.parse("lambda = two\nseed = one\n")
+
     def test_validation(self):
         with pytest.raises(ValueError, match="lambda"):
             TrainConfig(lam=0.0)
