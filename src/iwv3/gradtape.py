@@ -31,15 +31,20 @@ the only array the node keeps, and its backward masks with that output's
 > 0, which is the relu input's.  Neither changes a bit of any output or
 gradient.
 
-The backward products feed no stream and are lowered to one GEMM per kernel
-tap (accumulating kn2row): the upstream gradient g (N, O, H, W) is
-zero-padded once into a per-channel flat layout (N, O, (H+2ph+1)*(W+2pw)),
-in which the g values that tap (ky, kx) meets are one contiguous slice.
-dw[:, :, ky, kx] is then one batched (O,M)@(M,C) product with the input
-widened to the same row pitch, and dx accumulates one (C,O)@(O,M) product
-per tap.  No 9x window copy is made and nothing padded is kept on the tape.
-When g has fewer than `_TAP_MIN_CHANNELS` channels, dx keeps the window
-contraction, which is faster for such thin products.
+The backward products feed no stream, and each conv's backward is two GEMMs
+per image (the kn2row/im2col duality; Vasudevan, Anderson & Gregg, 2017).
+An image's g and x are zero-padded into a per-channel flat layout of row
+pitch W+2pw, in which the samples that kernel tap (ky, kx) meets are one
+contiguous slice.  The kh*kw slices of the side with fewer channels (g
+when O <= C, else x) are copied into one (kh*kw*min(O,C), H*pitch) stack.
+dw is then one product of the stack with the other side, whose zero
+columns cancel the positions that straddle two rows.  dx is W times g's
+stack, or, when x's is the stack, the output-side product W*g followed by
+a sum of its kh*kw shifted slices.  Stacks are built one image at a time,
+so the backward holds a kh*kw-fold copy of one image's narrower side, not of
+the batch's.  A conv computes only the gradients its parents can take: none
+for an input off the tape (a constant context or reconstruction) or for a
+leaf that does not require one (online optimization's constant weights).
 """
 
 from __future__ import annotations
@@ -415,16 +420,22 @@ def _conv_operands(x, w, b):
 
 
 def _conv_node(x, w, b, out, relu=False):
-    """The tape node of a conv whose forward gave `out`, relu'd if `relu`."""
+    """The tape node of a conv whose forward gave `out`, relu'd if `relu`.
+
+    Its backward returns None, which `Tape.backward` skips, for each parent
+    that cannot take a gradient: one off the tape or a leaf that does not
+    require one.  So constant inputs get no dx and constant weights no dw."""
     parents = (x, w) if b is None else (x, w, b)
+    wants = [t.tape is not None and bool(t._parents or t.requires_grad)
+             for t in parents]
 
     def back(g):
         if relu:
             g = g * (out > 0)
-        dx, dw = _conv2d_back(x.data, w.data, g)
+        dx, dw = _conv2d_back(x.data, w.data, g, wants[0], wants[1])
         if b is None:
             return (dx, dw)
-        return (dx, dw, g.sum(axis=(0, 2, 3)))
+        return (dx, dw, g.sum(axis=(0, 2, 3)) if wants[2] else None)
 
     return _make(out, parents, back)
 
@@ -460,54 +471,77 @@ def conv2d_heads(x, heads) -> list:
     return [_conv_node(x, w, b, out) for (_, w, b), out in zip(ops, outs)]
 
 
-# Fewest channels of g for which dx takes the per-tap products.  Set from
-# the conv table of a traced train-steps run: the dx products that contract
-# 1 or 3 channels (the P/U nets' 16->1 heads, the context net's 32->1 and
-# 32->3 layers) ran 1.7-6.5x faster as the window contraction, and those
-# that contract 9 or more ran 1.4-9x faster per tap.  No model conv
-# contracts 4-8; there the crossover rises with dx's channel count.
-_TAP_MIN_CHANNELS = 4
+def _padded(a, ph, pw):
+    """One image's planes a (C,H,W), zero-padded by ph rows above, ph + 1
+    below and pw columns each side, flattened per channel at row pitch
+    W + 2*pw: the sample that kernel tap (ky, kx) meets from output (i, j)
+    is at flat index (i*pitch + j) + (ky*pitch + kx)."""
+    c, h, w = a.shape
+    out = np.zeros((c, h + 2 * ph + 1, w + 2 * pw))
+    out[:, ph:ph + h, pw:pw + w] = a
+    return out.reshape(c, -1)
 
 
-def _flat(a, top, bottom, left, right):
-    """a (N,C,H,W) zero-padded by the given rows/columns, flattened per channel."""
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + top + bottom, w + left + right))
-    out[:, :, top:top + h, left:left + w] = a
-    return out.reshape(n, c, -1)
+def _taps(a, kh, kw, pitch, m):
+    """The (kh*kw*C, m) copy of a `_padded` plane's kh*kw shifted views:
+    row (ky*kw + kx)*C + c is a[c, ky*pitch + kx :][:m]."""
+    c, length = a.shape
+    s = a.itemsize
+    view = np.ndarray((kh, kw, c, m), a.dtype, a,
+                      strides=(pitch * s, s, length * s, s))
+    return view.reshape(kh * kw * c, m)
 
 
-def _conv2d_back(x, w, g):
-    """(dx, dw) of `_conv2d_raw(x, w, b)` for the upstream gradient g."""
+def _conv2d_back(x, w, g, want_dx, want_dw):
+    """(dx, dw) of `_conv2d_raw(x, w, b)` for the upstream gradient g, with
+    None in place of a gradient that is not wanted."""
     o, c, kh, kw = w.shape
     n, _, h, wd = g.shape
     ph, pw = kh // 2, kw // 2
-    wp = wd + 2 * pw
-    m = h * wp
-    # Output position (i, j) is flat index i*wp + j, so with g padded like
-    # the forward input (plus a spare row that keeps every slice in bounds)
-    # the g values that kernel tap (ky, kx) meets form one contiguous slice.
-    gp = _flat(g, ph, ph + 1, pw, pw)
-    # x widened to the same row pitch; its zero columns cancel the slice
-    # positions that straddle two rows.
-    xw = _flat(x, 0, 0, 0, 2 * pw).transpose(0, 2, 1)
-    per_tap = o >= _TAP_MIN_CHANNELS
-    if per_tap:
-        wt = w.transpose(2, 3, 1, 0)
-        acc, tmp = np.zeros((n, c, m)), np.empty((n, c, m))
-    dw = np.empty(w.shape)
-    for ky in range(kh):
-        for kx in range(kw):
-            off = (kh - 1 - ky) * wp + (kw - 1 - kx)
-            gs = gp[:, :, off:off + m]
-            dw[:, :, ky, kx] = np.matmul(gs, xw).sum(axis=0)
-            if per_tap:
-                acc += np.matmul(wt[ky, kx], gs, out=tmp)
-    if per_tap:
-        dx = acc.reshape(n, c, h, wp)[:, :, :, :wd].copy()
+    pitch = wd + 2 * pw
+    m = h * pitch
+    centre = ph * pitch + pw
+    # Tap (ky, kx) of the flipped kernel meets g at offset ky*pitch + kx
+    # from the dx position it feeds.
+    wf = w[:, :, ::-1, ::-1]
+    stack_g = o <= c
+    if stack_g:
+        wmat = wf.transpose(1, 2, 3, 0).reshape(c, kh * kw * o)
+        dw = np.zeros((kh * kw * o, c)) if want_dw else None
     else:
-        wflip = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dx = _conv2d_raw(g, np.ascontiguousarray(wflip), None)
+        wmat = wf.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+        dw = np.zeros((o, kh * kw * c)) if want_dw else None
+    dx = np.empty((n, c, h, wd)) if want_dx else None
+    for i in range(n):
+        gp = _padded(g[i], ph, pw)
+        if stack_g:
+            # dw, flipped, is taps(g)·x, where x's zero columns cancel the
+            # positions that straddle two rows, and dx = W·taps(g).
+            tg = _taps(gp, kh, kw, pitch, m)
+            if want_dw:
+                dw += np.dot(tg, _padded(x[i], ph, pw)[:, centre:centre + m].T)
+            if want_dx:
+                dxi = np.dot(wmat, tg)
+        else:
+            # dw is g·taps(x), where g's zero columns cancel the straddling
+            # positions, and dx sums the kh*kw shifted slices of W·g.
+            if want_dw:
+                tx = _taps(_padded(x[i], ph, pw), kh, kw, pitch, m)
+                dw += np.dot(gp[:, centre:centre + m], tx.T)
+            if want_dx:
+                wg = np.dot(wmat, gp).reshape(kh * kw, c, -1)
+                dxi = wg[0, :, :m].copy()
+                for t in range(1, kh * kw):
+                    off = (t // kw) * pitch + t % kw
+                    dxi += wg[t, :, off:off + m]
+        if want_dx:
+            dx[i] = dxi.reshape(c, h, pitch)[:, :, :wd]
+    if want_dw:
+        if stack_g:
+            dw = dw.reshape(kh, kw, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+        else:
+            dw = dw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+        dw = np.ascontiguousarray(dw)
     return dx, dw
 
 

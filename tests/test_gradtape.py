@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestOpGradients:
         )
 
     def test_conv2d_per_tap_dx(self):
-        # 8 output channels: dx takes the per-tap products.
+        # 8 output channels over 3 inputs: the backward stacks x's taps.
         check_op_gradient(
             lambda t: gt.conv2d(t[0], t[1], t[2]),
             [(2, 3, 5, 6), (8, 3, 3, 3), (8,)],
@@ -203,30 +204,63 @@ def _layouts(x):
 
 
 class TestConvLowering:
-    CHANNELS = (1, 3, 9, 16)
+    CHANNELS = (1, 3, 9, 16, 32)
+    # (H, W) planes: a general one, one column and one row.
+    PLANES = ((5, 7), (6, 1), (1, 6))
 
-    def test_channel_counts_straddle_the_threshold(self):
-        assert min(self.CHANNELS) < gt._TAP_MIN_CHANNELS <= max(self.CHANNELS)
+    def test_channel_counts_cover_every_side(self):
+        # The backward stacks the taps of g when O <= C and of x when C < O.
+        pairs = list(itertools.product(self.CHANNELS, self.CHANNELS))
+        assert {np.sign(o - c) for c, o in pairs} == {-1, 0, 1}
 
     @pytest.mark.parametrize("c,o", list(itertools.product(CHANNELS, CHANNELS)))
     def test_backward_matches_window_contraction(self, c, o):
         rng = np.random.default_rng(100 * c + o)
-        for k, n, bias in itertools.product((3, 1), (1, 4), (False, True)):
-            x = rng.normal(size=(n, c, 5, 7))
+        for k, n, (h, wd), bias in itertools.product((3, 1), (1, 4), self.PLANES,
+                                                     (False, True)):
             w = rng.normal(size=(o, c, k, k))
             b = rng.normal(size=o) if bias else None
-            g = rng.normal(size=(n, o, 5, 7))
-            tape = Tape()
-            leaves = [tape.leaf(x, name="x", requires_grad=True),
-                      tape.leaf(w, name="w", requires_grad=True)]
-            if bias:
-                leaves.append(tape.leaf(b, name="b", requires_grad=True))
-            grads = tape.backward(gt.tsum(gt.mul(gt.conv2d(*leaves), Tensor(g))))
-            dx, dw = _window_conv_grads(x, w, g)
-            assert np.allclose(grads["x"], dx, rtol=1e-12)
-            assert np.allclose(grads["w"], dw, rtol=1e-12)
-            if bias:
-                assert np.allclose(grads["b"], g.sum(axis=(0, 2, 3)), rtol=1e-12)
+            g = rng.normal(size=(n, o, h, wd))
+            for x in _layouts(rng.normal(size=(n, c, h, wd))):
+                tape = Tape()
+                leaves = [tape.leaf(x, name="x", requires_grad=True),
+                          tape.leaf(w, name="w", requires_grad=True)]
+                if bias:
+                    leaves.append(tape.leaf(b, name="b", requires_grad=True))
+                grads = tape.backward(gt.tsum(gt.mul(gt.conv2d(*leaves), Tensor(g))))
+                dx, dw = _window_conv_grads(x, w, g)
+                assert np.allclose(grads["x"], dx, rtol=1e-12)
+                assert np.allclose(grads["w"], dw, rtol=1e-12)
+                if bias:
+                    assert np.allclose(grads["b"], g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    def test_backward_stays_per_image(self):
+        # A stack of every image's taps would take n*kh*kw*min(O,C)*H*W
+        # doubles (19 MB here) and raise training's peak memory.
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(4, 16, 64, 64)), rng.normal(size=(16, 16, 3, 3))
+        g = rng.normal(size=(4, 16, 64, 64))
+        tracemalloc.start()
+        try:
+            gt._conv2d_back(x, w, g, True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 9 * 16 * 64 * 64 * 8
+
+    @pytest.mark.parametrize("c,o", [(16, 1), (1, 16), (16, 16)])
+    def test_backward_runs_no_forward_conv(self, c, o, monkeypatch):
+        rng = np.random.default_rng(c + o)
+        tape = Tape()
+        x = tape.leaf(rng.normal(size=(2, c, 6, 5)), name="x", requires_grad=True)
+        w = tape.leaf(rng.normal(size=(o, c, 3, 3)), name="w", requires_grad=True)
+        loss = gt.tsum(gt.mul(gt.conv2d(x, w), Tensor(rng.normal(size=(2, o, 6, 5)))))
+
+        def forbidden(*args):
+            raise AssertionError("the backward ran a forward conv")
+
+        monkeypatch.setattr(gt, "_conv2d_raw", forbidden)
+        assert sorted(tape.backward(loss)) == ["w", "x"]
 
     @pytest.mark.parametrize("shape,o,k", [
         ((1, 1, 16, 16), 16, 3),
@@ -375,6 +409,65 @@ class TestSharedWindow:
         shift, sc = pu_forward(net, params, tape.leaf(rng.normal(size=(1, 1, 6, 8))))
         assert len(built) == 3
         tape.backward(gt.tsum(shift if sc is None else gt.add(shift, sc)))
+
+
+class TestConvGradientsTaken:
+    """A conv computes gradients only for the parents that can take them."""
+
+    @staticmethod
+    def _operands(c, o, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(2, c, 5, 6)), rng.normal(size=(o, c, 3, 3)),
+                rng.normal(size=o), rng.normal(size=(2, o, 5, 6)))
+
+    @pytest.mark.parametrize("c,o", [(16, 1), (1, 16), (4, 4)])
+    def test_no_dx_for_an_input_off_the_tape(self, c, o):
+        x, w, b, g = self._operands(c, o, 1)
+        tape = Tape()
+        wl = tape.leaf(w, name="w", requires_grad=True)
+        bl = tape.leaf(b, name="b", requires_grad=True)
+        for xin in (Tensor(x), tape.leaf(x, name="x")):
+            dx, dw, db = gt.conv2d(xin, wl, bl)._backward(g)
+            assert dx is None
+            assert np.allclose(dw, _window_conv_grads(x, w, g)[1], rtol=1e-12)
+            assert np.allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("c,o", [(16, 1), (1, 16), (4, 4)])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_no_weight_gradients_for_constant_params(self, c, o, relu):
+        x, w, b, g = self._operands(c, o, 2)
+        weights = ModelWeights()
+        weights.add("w", w)
+        weights.add("b", b)
+        params = gt.constant_params(weights)
+        op = gt.conv2d_relu if relu else gt.conv2d
+        tape = Tape()
+        xl = tape.leaf(x, name="x", requires_grad=True)
+        out = op(xl, params["w"], params["b"])
+        dx, dw, db = out._backward(g)
+        assert dw is None and db is None
+        mask = out.data > 0 if relu else 1.0
+        assert np.allclose(dx, _window_conv_grads(x, w, g * mask)[0], rtol=1e-12)
+        grads = tape.backward(gt.tsum(gt.mul(out, Tensor(g))))
+        assert sorted(grads) == ["x"]
+        assert np.array_equal(grads["x"], dx)
+
+    @pytest.mark.parametrize("taped", list(itertools.product((False, True), repeat=3)))
+    def test_taped_leaves_get_the_window_contraction(self, taped):
+        x, w, b, g = self._operands(3, 9, 3)
+        tape = Tape()
+        names = ("x", "w", "b")
+        ops = [tape.leaf(v, name=n, requires_grad=True) if t else Tensor(v)
+               for v, n, t in zip((x, w, b), names, taped)]
+        out = gt.conv2d(*ops)
+        if not any(taped):
+            assert out.tape is None
+            return
+        grads = tape.backward(gt.tsum(gt.mul(out, Tensor(g))))
+        assert sorted(grads) == sorted(n for n, t in zip(names, taped) if t)
+        ref = dict(zip(names, _window_conv_grads(x, w, g) + (g.sum(axis=(0, 2, 3)),)))
+        for name, grad in grads.items():
+            assert np.allclose(grad, ref[name], rtol=1e-12), name
 
 
 class TestBackwardContract:
