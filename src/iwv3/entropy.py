@@ -26,6 +26,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.special import ndtr as np_ndtr
@@ -36,7 +37,7 @@ from .gradtape import ModelWeights, Tensor, save_weights
 from .imageio import padded_size
 from .lifting import SubbandPyramid, inverse2d_level
 from .quant import dequantize
-from .rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
+from .rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError, SymbolTable
 
 GMM_K = 3
 CTX_CHANNELS = 32
@@ -277,7 +278,7 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
     ..., "h2.b").  "static" is True when both head weights h1.w and h2.w are
     all zero: the head then outputs h2.b at every position, whatever the S_t
     and L_t branches feed it, and SubbandCodec codes the subband with one
-    table.
+    table, built from the mixture (w, u, sigma) of h2.b under "prior".
     """
     p = ctx_prefix(kind)
     cw = {}
@@ -299,6 +300,9 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
     cw["s1.taps"] = np.concatenate([taps1.reshape(_SLOTS, -1, c), bias1], axis=1)
     cw["s2.taps"] = np.concatenate([taps2.reshape(_SLOTS, -1, c), bias2], axis=1)
     cw["static"] = not (cw["h1.w"].any() or cw["h2.w"].any())
+    if cw["static"]:
+        with np.errstate(over="ignore"):
+            cw["prior"] = _mixture(cw["h2.b"].astype(np.float64)[None])
     return cw
 
 
@@ -403,8 +407,9 @@ class SubbandCodec:
             raise StreamError(f"coefficient range too wide ({self.alphabet})")
         # model bits of the encoded symbols, per channel (set by run) and summed
         self.model_bits, self.channel_bits = 0.0, []
-        self._static, self._b_h2 = cw["static"], cw["h2.b"]
+        self._static = cw["static"]
         if self._static:
+            self._prior = cw["prior"]
             return  # no context net to set up
 
         self._w1, self._w2 = cw["s1.taps"], cw["s2.taps"]
@@ -424,6 +429,7 @@ class SubbandCodec:
             self._head_bias[:, ch] = np.moveaxis(head_bias, 0, -1).reshape(-1, c)
             del g, head_bias  # before the next channel's convs peak
         self._h2 = np.ascontiguousarray(cw["h2.w"][:, :, 0, 0].T)  # (C, 3K)
+        self._b_h2 = cw["h2.b"]
 
     def run(self, rcs, values: np.ndarray | None = None) -> np.ndarray:
         """Encode (B, H, W) `values`, channel b through rcs[b], or decode them
@@ -435,36 +441,38 @@ class SubbandCodec:
             # Degenerate range: the decoder knows every value already.
             return values if encode else np.full((nch, h, w), self.vmin, dtype=np.int32)
 
-        # (H*W, B): a wavefront's values are one strided slice, (row, channel)
-        flat = (np.moveaxis(values, 0, -1).reshape(-1, nch) if encode
-                else np.zeros((h * w, nch), dtype=np.int32))
         if self._static:
-            self._run_static(rcs, flat, encode)
+            out = self._run_static(rcs, values)
         else:
+            # (H*W, B): a wavefront's values are one strided slice, (row, channel)
+            flat = (np.moveaxis(values, 0, -1).reshape(-1, nch) if encode
+                    else np.zeros((h * w, nch), dtype=np.int32))
             self._run_wavefronts(rcs, flat, encode)
+            out = values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
         self.model_bits = sum(self.channel_bits)
-        out = values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
         return np.ascontiguousarray(out)
 
-    def _run_static(self, rcs, flat: np.ndarray, encode: bool) -> None:
-        """Code `flat` in wavefront order against the one table of h2.b: one
-        range-coder run per channel."""
+    def _run_static(self, rcs, values: np.ndarray | None) -> np.ndarray:
+        """Code (B, H, W) `values` in wavefront order against the one table of
+        h2.b, one range-coder run per channel, or decode them when values is
+        None; returns the values."""
         h, w, vmin, alphabet = self.h, self.w, self.vmin, self.alphabet
-        with np.errstate(over="ignore"):
-            mw, u, sigma = _mixture(self._b_h2.astype(np.float64)[None])
-        cum = quantized_cdf(mw, u, sigma, np.arange(alphabet + 1)[None], vmin,
-                            alphabet)[0]
-        # flat positions by wavefront t = x + 2i, rows increasing along each
-        i, x = np.divmod(np.arange(h * w), w)
-        order = np.argsort((x + 2 * i) * h + i)
-        if not encode:
-            table = cum.tolist()
-            for ch, rc in enumerate(rcs):
-                flat[order, ch] = np.array(rc.decode_run(table, h * w)) + vmin
-            return
+        cum = quantized_cdf(*self._prior, np.arange(alphabet + 1)[None], vmin, alphabet)[0]
+        # flat positions by wavefront t = x + 2i; row-major order already runs
+        # the rows of each wavefront ascending, and a stable sort keeps them so
+        order = np.argsort((np.arange(w) + 2 * np.arange(h)[:, None]).ravel(), kind="stable")
+        n, nch = h * w, len(rcs)
+        if values is None:
+            table = SymbolTable(cum)
+            ks = np.fromiter(chain.from_iterable(rc.decode_run(table, n) for rc in rcs),
+                             np.int32, nch * n)
+            out = np.empty((nch, n), dtype=np.int32)
+            out[:, order] = ks.reshape(nch, n) + vmin
+            return out.reshape(nch, h, w)
         freq = np.diff(cum)
-        ks = flat[order] - vmin
+        ks = values.reshape(nch, n)[:, order] - vmin
         self._encode_symbols(rcs, cum[ks], freq[ks], _costs(freq)[ks])
+        return values
 
     def _run_wavefronts(self, rcs, flat: np.ndarray, encode: bool) -> None:
         """Code `flat` wavefront by wavefront, one context-net batch each.
@@ -537,18 +545,18 @@ class SubbandCodec:
         freqs = q[:, 1] - q[:, 0]
         # channel b's symbols are rows b, b + B, ... of every wavefront
         nch = len(rcs)
-        self._encode_symbols(rcs, q[:, 0].reshape(-1, nch), freqs.reshape(-1, nch),
-                             _costs(freqs).reshape(-1, nch))
+        self._encode_symbols(rcs, q[:, 0].reshape(-1, nch).T, freqs.reshape(-1, nch).T,
+                             _costs(freqs).reshape(-1, nch).T)
 
     def _encode_symbols(self, rcs, cums, freqs, cost) -> None:
-        """Encode (symbols, B) intervals [cums, cums + freqs) in coding order,
-        column b through rcs[b], and add their costs to the channels' model
+        """Encode (B, symbols) intervals [cums, cums + freqs) in coding order,
+        row b through rcs[b], and add their costs to the channels' model
         bits."""
-        for ch, rc in enumerate(rcs):
-            rc.encode_run(cums[:, ch].tolist(), freqs[:, ch].tolist())
-            # cumsum adds in coding order, from the running total
-            self.channel_bits[ch] = float(
-                np.cumsum(np.concatenate(([self.channel_bits[ch]], cost[:, ch])))[-1])
+        for rc, c, f in zip(rcs, cums.tolist(), freqs.tolist()):
+            rc.encode_run(c, f)
+        # cumsum adds along each row in coding order, from the running total
+        self.channel_bits = np.cumsum(np.column_stack((self.channel_bits, cost)),
+                                      axis=1)[:, -1].tolist()
 
     def _decode_rows(self, rcs, raw) -> list:
         """Symbol indices (values - vmin) of one wavefront's rows under their

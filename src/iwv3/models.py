@@ -234,7 +234,7 @@ class Model:
         arrays = {}
         for kind in SUBBAND_KINDS:
             cw = entropy.extract_context_arrays(self.weights, kind)
-            arrays[kind] = {"static": True, "h2.b": cw["h2.b"]} if cw["static"] else cw
+            arrays[kind] = {"static": True, "prior": cw["prior"]} if cw["static"] else cw
         return arrays
 
     @cached_property

@@ -1,14 +1,23 @@
 """Byte-oriented range coder: 64-bit low, 32-bit range, carry counting.
 
 Frequencies are 16-bit (total 65536) and every codable symbol must have a
-nonzero frequency.  Carries propagate through a run of pending 0xFF bytes;
+nonzero frequency and an interval inside [0, TOTAL).  Carries propagate through a run of pending 0xFF bytes;
 the leading cache byte is withheld until the first renormalization, so the
 total overhead beyond the information content is at most ~4 bytes.
 
-`RangeEncoder.encode_run` and `RangeDecoder.decode_tables` code a whole
-sequence in one loop with the coder state in locals; `decode_tables` takes
-one table per symbol, and `decode_run` is its case of one repeated table.
-`encode` and `decode` are the one-symbol case.
+`RangeEncoder.encode_run` codes a whole sequence in one loop with the coder
+state in locals, and `RangeDecoder._decode` is the one decode loop:
+`decode_tables` takes one table per symbol, `decode_run` one table for the
+whole run.  `encode` and `decode` are the one-symbol case.  The loops spell
+TOTAL = 2^16 and the renormalization bound 2^24 as literals, and drop the
+masks that the state's bounds make no-ops: a range under 2^24 shifts to one
+under 2^32, and a cache byte plus its carry stays under 256.
+
+A run decoded against one strictly increasing table looks its symbol up by
+the target's top 8 bits first (`SymbolTable`): a bucket of 256 targets that
+lies inside one symbol's interval gives that symbol, and only the others
+bisect the table.  The lookup finds what the bisection would, so it changes
+no symbol, state or error.
 """
 
 from __future__ import annotations
@@ -16,10 +25,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import repeat
 
+import numpy as np
+
 TOTAL_BITS = 16
 TOTAL = 1 << TOTAL_BITS
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
+# Targets per lookup bucket: a target's bucket is its top 8 bits.
+_BUCKET_BITS = 8
+# The first and last target of each bucket.
+_BUCKET_FIRST = np.arange(0, TOTAL, 1 << _BUCKET_BITS)
+_BUCKET_LAST = _BUCKET_FIRST + ((1 << _BUCKET_BITS) - 1)
+# The lookup of a table no bucket serves: every target bisects.
+_NO_BUCKETS = (None,) * (TOTAL >> _BUCKET_BITS)
 
 
 class RangeError(ValueError):
@@ -41,31 +59,42 @@ class RangeEncoder:
     def encode_run(self, cums, freqs) -> None:
         """Encode the symbols spanning [cums[j], cums[j] + freqs[j]) in turn.
 
-        Symbols before a zero-probability one stay encoded when it raises."""
+        Symbols before one whose interval is empty or leaves [0, TOTAL) stay
+        encoded when it raises."""
         low, rng, cache, pending = self._low, self._range, self._cache, self._pending
         out = self._out
+        append = out.append
         try:
             for cum, freq in zip(cums, freqs):
-                if freq <= 0:
-                    raise RangeError("zero-probability symbol requested")
-                r = rng // TOTAL
+                if not 0 <= cum < cum + freq <= 65536:
+                    if freq <= 0:
+                        raise RangeError("zero-probability symbol requested")
+                    raise RangeError(f"symbol interval [{cum}, {cum + freq}) "
+                                     f"outside [0, {TOTAL})")
+                r = rng >> 16
                 low += r * cum
                 rng = r * freq
-                while rng < _TOP:
-                    # shift the top byte of low out, through the cache and
-                    # the pending 0xFF run that a carry may still change
-                    carry = low >> 32
-                    if low < 0xFF000000 or carry:
+                while rng < 16777216:
+                    # shift the top byte of low (33 bits at most) out, through
+                    # the cache and the pending 0xFF run a carry may change
+                    if low < 0xFF000000:
                         if cache is not None:
-                            out.append((cache + carry) & 0xFF)
+                            append(cache)
                         if pending:
-                            out += bytes(((0xFF + carry) & 0xFF,)) * pending
+                            out += b"\xff" * pending
                             pending = 0
-                        cache = (low >> 24) & 0xFF
+                        cache = low >> 24
+                    elif low > 0xFFFFFFFF:
+                        # a carry: no carry comes before the first cache byte
+                        append(cache + 1)
+                        if pending:
+                            out += bytes(pending)
+                            pending = 0
+                        cache = (low >> 24) - 256
                     else:
                         pending += 1
-                    low = (low << 8) & _MASK32
-                    rng = (rng << 8) & _MASK32
+                    low = (low << 8) & 0xFFFFFFFF
+                    rng <<= 8
         finally:
             self._low, self._range, self._cache, self._pending = low, rng, cache, pending
 
@@ -75,6 +104,33 @@ class RangeEncoder:
         # push the cache, the pending bytes and all of low out.
         self.encode_run((0, 0, 0), (1, 1, 256))
         return bytes(self._out)
+
+
+class SymbolTable:
+    """One full cumulative table, prepared for many `decode_run` calls.
+
+    `cum` holds the entries as a list.  When they strictly increase, each
+    bucket of 256 targets that the bisection of RangeDecoder maps to a single
+    symbol is looked up instead; an out-of-order table (a non-finite
+    mixture's) bisects every target."""
+
+    __slots__ = ("cum", "_buckets")
+
+    def __init__(self, cum_table):
+        arr = np.asarray(cum_table)
+        self.cum = arr.tolist()
+        self._buckets = _NO_BUCKETS
+        if len(arr) > 1 and (arr[1:] > arr[:-1]).all():
+            # the symbol _decode's bisection finds for a bucket's first and
+            # last target; between them it finds one of the two
+            inner = arr[1:-1]
+            first = np.searchsorted(inner, _BUCKET_FIRST, side="right")
+            last = np.searchsorted(inner, _BUCKET_LAST, side="right")
+            cums = arr[first]
+            buckets = list(zip(first.tolist(), cums.tolist(), (arr[first + 1] - cums).tolist()))
+            for b in np.flatnonzero(first != last).tolist():
+                buckets[b] = None
+            self._buckets = buckets
 
 
 class RangeDecoder:
@@ -109,47 +165,62 @@ class RangeDecoder:
         while self._range < _TOP:
             # code < range < 2^24 here, so the shifted code stays under 2^32
             self._code = (self._code << 8) | self._next_byte()
-            self._range = (self._range << 8) & _MASK32
+            self._range <<= 8
 
     def decode(self, cum_table) -> int:
         """Decode against a full cumulative table (cum_table[i+1] > cum_table[i])."""
-        return self.decode_run(cum_table, 1)[0]
+        return self._decode(repeat(cum_table, 1), len(cum_table), _NO_BUCKETS)[0]
 
     def decode_run(self, cum_table, n: int) -> list:
-        """Decode n symbols against one full cumulative table."""
-        return self._decode(repeat(cum_table, n), len(cum_table))
+        """Decode n symbols against one full cumulative table, or against the
+        SymbolTable of one (which spares a run its preparation)."""
+        if not isinstance(cum_table, SymbolTable):
+            cum_table = SymbolTable(cum_table)
+        table = cum_table.cum
+        return self._decode(repeat(table, n), len(table), cum_table._buckets)
 
     def decode_tables(self, cum_tables) -> list:
         """Decode one symbol against each full cumulative table in turn; the
         tables have one length."""
-        return self._decode(cum_tables, len(cum_tables[0]) if cum_tables else 0)
+        return self._decode(cum_tables, len(cum_tables[0]) if cum_tables else 0,
+                            _NO_BUCKETS)
 
-    def _decode(self, cum_tables, size: int) -> list:
-        """Decode one symbol per table of `size` entries.
+    def _decode(self, cum_tables, size: int, buckets) -> list:
+        """Decode one symbol per table of `size` entries; `buckets` maps a
+        target's top 8 bits to its symbol's (symbol, cum, freq), or to None
+        to bisect the table.
 
         Symbols before a corrupt or missing byte stay consumed when it raises."""
         data, end, last = self._data, len(self._data), size - 1
         code, rng, pos = self._code, self._range, self._pos
         out = []
+        append = out.append
         try:
             for cum_table in cum_tables:
-                r = rng // TOTAL
+                r = rng >> 16
                 target = code // r
-                if target >= TOTAL:  # no encoder leaves the code there
+                if target >= 65536:  # no encoder leaves the code there
                     raise RangeError(f"{self._name} corrupt before byte {pos}")
-                # the last lo in [0, len - 2] with cum_table[lo] <= target (0 if none)
-                lo = bisect_right(cum_table, target, 1, last) - 1
-                cum = cum_table[lo]
-                code -= r * cum
-                rng = r * (cum_table[lo + 1] - cum)
-                while rng < _TOP:
+                entry = buckets[target >> 8]
+                if entry is None:
+                    # the last lo in [0, size - 2] with cum_table[lo] <= target
+                    # (0 if none)
+                    lo = bisect_right(cum_table, target, 1, last) - 1
+                    cum = cum_table[lo]
+                    code -= r * cum
+                    rng = r * (cum_table[lo + 1] - cum)
+                else:
+                    lo, cum, freq = entry
+                    code -= r * cum
+                    rng = r * freq
+                while rng < 16777216:
                     if pos >= end:
                         raise RangeError(f"{self._name} underrun at byte {pos}")
                     # code < range < 2^24 here, so the shifted code stays under 2^32
                     code = (code << 8) | data[pos]
                     pos += 1
-                    rng = (rng << 8) & _MASK32
-                out.append(lo)
+                    rng <<= 8
+                append(lo)
         finally:
             self._code, self._range, self._pos = code, rng, pos
         return out

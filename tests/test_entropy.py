@@ -664,6 +664,12 @@ class TestStaticPrior:
         for arrays in (cw, dict(cw, static=False)):
             with np.errstate(invalid="ignore"), pytest.raises(RangeError, match="zero-probability"):
                 encode_subband(values, arrays, l_t, 1.0, vmin, vmax)
+        # A range one wider on each side makes every value an inner symbol,
+        # whose interval [INT64_MIN + k, INT64_MIN + k + 1) has width 1 but
+        # lies outside [0, TOTAL).
+        for arrays in (cw, dict(cw, static=False)):
+            with np.errstate(invalid="ignore"), pytest.raises(RangeError, match="outside"):
+                encode_subband(values, arrays, l_t, 1.0, vmin - 1, vmax + 1)
 
 
 def _quantized_pyramids(levels, size, seed, spread=20):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError
+from iwv3.entropy import MAX_ALPHABET
+from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError, SymbolTable
 
 
 def encode_all(symbols, cum):
@@ -151,6 +152,11 @@ def _table(widths):
     cum[-1] = TOTAL
     for i in range(1, len(cum)):
         cum[i] = max(cum[i], cum[i - 1] + 1)
+    # the ticks given to narrow symbols at the top can pass TOTAL (widths
+    # [60000, 60000] + [1] * 38): take them back from the symbols below
+    cum[-1] = TOTAL
+    for i in range(len(cum) - 2, 0, -1):
+        cum[i] = min(cum[i], cum[i + 1] - 1)
     return cum.tolist()
 
 
@@ -168,9 +174,30 @@ def _outcome(decode, payload):
         return str(err)
 
 
+def _edge_table(edges, runs):
+    """A table whose inner boundaries sit on the given (bucket b, offset)
+    points b * 256 + offset, and on runs of one-tick symbols (start, ticks)."""
+    bounds = {b * 256 + offset for b, offset in edges}
+    for start, ticks in runs:
+        bounds.update(range(start, start + ticks))
+    return [0] + sorted(bounds) + [TOTAL]
+
+
+# Boundaries on a bucket edge, one below it and one above it (so one-tick
+# symbols on the edge when two of them meet), runs of one-tick symbols inside
+# a bucket, and wide symbols spanning several whole buckets between them.
+bucket_edge_tables = st.builds(
+    _edge_table,
+    st.lists(st.tuples(st.integers(1, 255), st.sampled_from((-1, 0, 1))),
+             min_size=1, max_size=30),
+    st.lists(st.tuples(st.integers(1, TOTAL - 9), st.integers(1, 8)), max_size=3))
+
+
 # Widths from 1 to 60000 give tables from near-uniform to one near-certain
-# symbol beside one-tick symbols, which drive the long pending 0xFF runs.
-tables = st.lists(st.integers(1, 60000), min_size=2, max_size=40).map(_table)
+# symbol beside one-tick symbols, which drive the long pending 0xFF runs; the
+# bucket-edge tables put boundaries where decode_run's lookup changes bucket.
+tables = st.one_of(st.lists(st.integers(1, 60000), min_size=2, max_size=40).map(_table),
+                   bucket_edge_tables)
 
 
 class TestRuns:
@@ -260,6 +287,19 @@ class TestRuns:
             RangeDecoder(payload).decode_run(table, 200)
         assert str(run.value) == str(single.value)
 
+    @pytest.mark.parametrize("cum, freq", [(-(2 ** 63) + 5, 1), (-1, 2), (TOTAL - 1, 2),
+                                           (TOTAL, 1), (0, TOTAL + 1)])
+    def test_interval_outside_total_is_refused(self, cum, freq):
+        # e.g. the inner entries of a non-finite mixture's table, INT64_MIN + k
+        table = [0, 100, TOTAL]
+        rc = RangeEncoder()
+        with pytest.raises(RangeError, match=r"outside \[0, 65536\)"):
+            rc.encode_run([0, 100, cum, 0], [100, TOTAL - 100, freq, 100])
+        ref = RangeEncoder()
+        ref.encode_run([0, 100], [100, TOTAL - 100])
+        assert rc.finish() == ref.finish()
+        assert RangeDecoder(ref.finish()).decode_run(table, 2) == [0, 1]
+
     def test_zero_probability_stops_the_run_where_it_stands(self):
         table = [0, 100, 100, TOTAL]
         good = [0, 2, 2, 0, 2]
@@ -336,3 +376,76 @@ class TestPerSymbolTables:
         payload = rc.finish()
         assert RangeDecoder(payload).decode_tables([table] * 7) == symbols
         assert RangeDecoder(payload).decode_run(table, 7) == symbols
+
+
+def _nan_table(k):
+    """The out-of-order table quantized_cdf gives a non-finite mixture (x86
+    casts NaN to INT64_MIN)."""
+    return [0] + [-(2 ** 63) + j for j in range(1, k)] + [TOTAL]
+
+
+def _pure_buckets(table):
+    """Per bucket of 256 targets of an increasing table, the (symbol, cum,
+    freq) of the one symbol that holds all of it, or None when an inner
+    boundary falls inside the bucket."""
+    out = []
+    for b in range(TOTAL // 256):
+        s = bisect_right(table, b * 256, 1, len(table) - 1) - 1
+        pure = not any(b * 256 < c < (b + 1) * 256 for c in table[1:-1])
+        out.append((s, table[s], table[s + 1] - table[s]) if pure else None)
+    return out
+
+
+class TestBucketLookup:
+    """decode_run looks up a symbol by the target's bucket of 256 before it
+    bisects; it must decode what `_per_symbol` (bisect and consume) decodes,
+    to the same decoder state and the same error."""
+
+    @staticmethod
+    def _check(table, payloads, n):
+        lookup = SymbolTable(table)
+        for payload in payloads:
+            assert (_outcome_and_state(lambda dec: dec.decode_run(lookup, n), payload)
+                    == _outcome_and_state(lambda dec: _per_symbol(dec, [table] * n), payload))
+        return lookup
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=bucket_edge_tables, data=st.data())
+    def test_bucket_edges_decode_as_the_bisection(self, table, data):
+        k = len(table) - 1
+        symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=300))
+        payload = encode_all(symbols, table)
+        cut = payload[: data.draw(st.integers(0, len(payload)))]
+        noise = data.draw(st.binary(min_size=4, max_size=64))
+        lookup = self._check(table, [payload, cut, noise], len(symbols))
+        assert lookup._buckets == _pure_buckets(table)
+        assert any(entry is not None for entry in lookup._buckets)
+        assert RangeDecoder(payload).decode_run(lookup, len(symbols)) == symbols
+
+    def test_one_tick_symbols_on_every_side_of_an_edge(self):
+        # every symbol of [b*256 - 1, b*256), [b*256, b*256 + 1), ... decoded
+        # at least once, so each bucket's first and last target is reached
+        table = _edge_table([(b, d) for b in (1, 2, 128, 255) for d in (-1, 0, 1)], [])
+        symbols = list(range(len(table) - 1)) * 4
+        payload = encode_all(symbols, table)
+        lookup = self._check(table, [payload, payload[:-3]], len(symbols))
+        assert lookup._buckets == _pure_buckets(table)
+        assert RangeDecoder(payload).decode_run(table, len(symbols)) == symbols
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.integers(2, 40), payload=st.binary(min_size=4, max_size=64),
+           n=st.integers(1, 200))
+    def test_out_of_order_table_bisects_every_target(self, k, payload, n):
+        lookup = self._check(_nan_table(k), [payload], n)
+        assert all(entry is None for entry in lookup._buckets)
+
+    def test_max_alphabet_table_has_no_pure_bucket(self):
+        table = _table([1] * MAX_ALPHABET)
+        rng = np.random.default_rng(5)
+        symbols = rng.integers(0, MAX_ALPHABET, 2000).tolist()
+        payload = encode_all(symbols, table)
+        noise = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
+        lookup = self._check(table, [payload, payload[: len(payload) // 2], noise],
+                             len(symbols))
+        assert all(entry is None for entry in lookup._buckets)
+        assert RangeDecoder(payload).decode_run(lookup, len(symbols)) == symbols
