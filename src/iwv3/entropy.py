@@ -55,9 +55,8 @@ MAX_PIXELS = 1 << 24
 # of the range coder's TOTAL counts per symbol and keeps at least as many
 # for the model's share.
 MAX_ALPHABET = TOTAL // 2
-# Alphabets up to this size get their whole table at once in the decoder;
-# wider ones are split into at least this many brackets, then one bracket's
-# table.
+# The decoder splits an alphabet of A symbols into this many brackets or
+# isqrt(A), whichever is more, but never more than A.
 SEARCH_FANOUT = 64
 MODE_CODES = {"lossless": 0, "additive": 1, "affine": 2}
 MODE_NAMES = {v: k for k, v in MODE_CODES.items()}
@@ -196,7 +195,7 @@ class LongTermContext:
         self._ll = None
         self._seen = {}
 
-    def stack_for(self, level: int, kind: str):
+    def stack_for(self, kind: str):
         """Context grids for the target subband; None marks a zero channel."""
         if kind == "LL":
             return [None, None, None]
@@ -362,12 +361,12 @@ class SubbandCodec:
     subband ends) runs the mixture, the two table entries per symbol, one
     range-coder run per channel and the model-bit sum over all of them.
     The decoder needs each wavefront's symbols before the next wavefront's
-    products: up to SEARCH_FANOUT symbols, each row's whole table is one
-    batched `quantized_cdf` and each channel's share of the wavefront one
-    range-coder run over the rows' tables (`RangeDecoder.decode_tables`).
-    Wider alphabets take one batched table of bracket boundaries, then one
-    bracket's table per symbol.  Streams, decoded values and model bits are
-    those of coding every wavefront alone.
+    products: one batched `quantized_cdf` gives every row's table of bracket
+    boundaries, then each symbol's bracket gives its table.  Up to
+    SEARCH_FANOUT symbols a bracket is one symbol, so the bracket tables are
+    the whole tables and each channel's share of the wavefront is one
+    range-coder run over them (`RangeDecoder.decode_tables`).  Streams,
+    decoded values and model bits are those of coding every wavefront alone.
 
     A leading channel axis batches B subbands that share shape, qstep,
     (vmin, vmax) and weights but not values, L_t (B, 3, H, W) or range
@@ -411,6 +410,10 @@ class SubbandCodec:
         if self._static:
             self._prior = cw["prior"]
             return  # no context net to set up
+        # about sqrt(alphabet) brackets of about sqrt(alphabet) symbols: the
+        # fewest entries the decoder's two tables evaluate per symbol
+        self._brackets = min(self.alphabet, max(SEARCH_FANOUT, math.isqrt(self.alphabet)))
+        self._bounds = np.arange(self._brackets + 1) * self.alphabet // self._brackets
 
         self._w1, self._w2 = cw["s1.taps"], cw["s2.taps"]
         c = CTX_CHANNELS
@@ -434,21 +437,13 @@ class SubbandCodec:
     def run(self, rcs, values: np.ndarray | None = None) -> np.ndarray:
         """Encode (B, H, W) `values`, channel b through rcs[b], or decode them
         when values is None."""
-        encode, nch = values is not None, len(rcs)
-        h, w = self.h, self.w
+        nch = len(rcs)
         self.channel_bits = [0.0] * nch
         if self.alphabet == 1:
             # Degenerate range: the decoder knows every value already.
-            return values if encode else np.full((nch, h, w), self.vmin, dtype=np.int32)
-
-        if self._static:
-            out = self._run_static(rcs, values)
-        else:
-            # (H*W, B): a wavefront's values are one strided slice, (row, channel)
-            flat = (np.moveaxis(values, 0, -1).reshape(-1, nch) if encode
-                    else np.zeros((h * w, nch), dtype=np.int32))
-            self._run_wavefronts(rcs, flat, encode)
-            out = values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
+            return (np.full((nch, self.h, self.w), self.vmin, dtype=np.int32)
+                    if values is None else values)
+        out = (self._run_static if self._static else self._run_wavefronts)(rcs, values)
         self.model_bits = sum(self.channel_bits)
         return np.ascontiguousarray(out)
 
@@ -474,14 +469,17 @@ class SubbandCodec:
         self._encode_symbols(rcs, cum[ks], freq[ks], _costs(freq)[ks])
         return values
 
-    def _run_wavefronts(self, rcs, flat: np.ndarray, encode: bool) -> None:
-        """Code `flat` wavefront by wavefront, one context-net batch each.
+    def _run_wavefronts(self, rcs, values: np.ndarray | None) -> np.ndarray:
+        """Code (B, H, W) `values` wavefront by wavefront, one context-net
+        batch each, or decode them when values is None; returns the values.
 
         The encoder codes the rows of consecutive wavefronts together, once
         at least _BATCH_ROWS of them are collected; the decoder needs each
         wavefront's symbols before it can compute the next one's rows."""
-        nch = len(rcs)
-        h = self.h
+        encode, nch, h, w = values is not None, len(rcs), self.h, self.w
+        # (H*W, B): a wavefront's values are one strided slice, (row, channel)
+        flat = (np.moveaxis(values, 0, -1).reshape(-1, nch) if encode
+                else np.zeros((h * w, nch), dtype=np.int32))
         c = CTX_CHANNELS
         s_buf = np.zeros((h + 1, nch, 2 * _SLOTS + 1))
         f_buf = np.zeros((h + 1, nch, 2 * _SLOTS * c + 1))
@@ -490,9 +488,9 @@ class SubbandCodec:
         f_parts = f_buf[..., :-1].reshape(h + 1, nch, 2, _SLOTS, c)
         written = [(0, 0)] * _SLOTS  # buffer rows each slot holds values in
         s_scale = self.qstep * CTX_INPUT_SCALE
-        raws, values, collected = [], [], 0  # the encoder's uncoded rows
+        raws, syms, collected = [], [], 0  # the encoder's uncoded rows
         with np.errstate(over="ignore"):
-            for t, lo, hi, diag in _wavefronts(h, self.w):
+            for t, lo, hi, diag in _wavefronts(h, w):
                 slot = t % _SLOTS
                 r0, r1 = written[slot]
                 s_parts[r0:r1, :, :, slot] = 0.0
@@ -516,11 +514,11 @@ class SubbandCodec:
                 if encode:
                     v = flat[diag]
                     raws.append(raw)
-                    values.append(v.reshape(-1))
+                    syms.append(v.reshape(-1))
                     collected += rows
                     if collected >= _BATCH_ROWS:
-                        self._encode_rows(rcs, raws, values)
-                        raws, values, collected = [], [], 0
+                        self._encode_rows(rcs, raws, syms)
+                        raws, syms, collected = [], [], 0
                 else:
                     ks = self._decode_rows(rcs, raw)
                     v = flat[diag] = np.array(ks).reshape(n, nch) + self.vmin
@@ -530,7 +528,8 @@ class SubbandCodec:
                 s_parts[lo + 1:hi + 2, :, 0, slot] = s
                 written[slot] = (lo, hi + 2)
             if raws:
-                self._encode_rows(rcs, raws, values)
+                self._encode_rows(rcs, raws, syms)
+        return values if encode else np.moveaxis(flat.reshape(h, w, nch), -1, 0)
 
     def _encode_rows(self, rcs, raws, values) -> None:
         """Encode rows of consecutive wavefronts, in coding order: `raws` are
@@ -563,35 +562,29 @@ class SubbandCodec:
         (rows, 3K) head outputs.
 
         Channel b's symbols are rows b, b + B, ...; its coder takes them all
-        before the next channel's coder starts.  Up to SEARCH_FANOUT symbols,
-        every row's whole table is one batched `quantized_cdf` and a channel
-        is one range-coder run.  A wider alphabet is searched in two steps:
-        one batched `quantized_cdf` of every row at the evenly spaced
-        boundaries of at least SEARCH_FANOUT brackets, whose bisection finds
-        a symbol's bracket, then that bracket's whole table."""
+        before the next channel's coder starts.  One batched `quantized_cdf`
+        evaluates every row at the evenly spaced boundaries of the brackets.
+        When each bracket is one symbol, those are the rows' whole tables and
+        a channel is one range-coder run.  Otherwise the bisection of a row's
+        boundaries finds a symbol's bracket, then that bracket's whole table
+        its symbol."""
         nch, vmin, alphabet = len(rcs), self.vmin, self.alphabet
+        brackets, bounds = self._brackets, self._bounds
         mw, u, sigma = _mixture(raw)
         rows = len(raw)
         ks = [0] * rows
-        if alphabet <= SEARCH_FANOUT:
-            tables = quantized_cdf(mw, u, sigma, np.arange(alphabet + 1)[None], vmin,
-                                   alphabet).tolist()
+        coarse = quantized_cdf(mw, u, sigma, bounds[None], vmin, alphabet).tolist()
+        if brackets == alphabet:
             for ch, rc in enumerate(rcs):
-                ks[ch::nch] = rc.decode_tables(tables[ch::nch])
+                ks[ch::nch] = rc.decode_tables(coarse[ch::nch])
             return ks
-        # about sqrt(alphabet) brackets of about sqrt(alphabet) symbols: the
-        # fewest entries the two tables evaluate per symbol
-        brackets = max(SEARCH_FANOUT, math.isqrt(alphabet))
-        bounds = [i * alphabet // brackets for i in range(brackets + 1)]
-        coarse = quantized_cdf(mw, u, sigma, np.array(bounds)[None], vmin,
-                               alphabet).tolist()
         for ch, rc in enumerate(rcs):
             for j in range(ch, rows, nch):
                 # the last bracket, then the last symbol, whose lower boundary
                 # is <= target; as in RangeDecoder, the ends are not searched
                 target = rc.decode_target()
                 m = bisect_right(coarse[j], target, 1, brackets)
-                klo, khi = bounds[m - 1], bounds[m]
+                klo, khi = bounds[m - 1 : m + 1].tolist()
                 table = coarse[j][m - 1 : m + 1]  # a one-symbol bracket's table
                 if khi - klo > 1:
                     table = quantized_cdf(mw[j : j + 1], u[j : j + 1], sigma[j : j + 1],
@@ -752,7 +745,7 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
         if not cw["static"]:  # a static head never reads L_t
             l_t = np.zeros((len(rcs), LT_WIDTH) + shape)
             for ch, ltc in enumerate(ltcs):
-                for idx, g in enumerate(ltc.stack_for(level, kind)):
+                for idx, g in enumerate(ltc.stack_for(kind)):
                     if g is not None:  # None is a zero grid
                         l_t[ch, idx] = g
         codec = SubbandCodec(cw, l_t, qstep, vmin, vmax, shape)
@@ -817,6 +810,7 @@ def decode_stream(data, weights: ModelWeights):
         raise WeightChecksumError(
             f"stream was written with different weights "
             f"(checksum {bs.weight_checksum:#018x})")
+    model.validate(bs.mode, bs.levels)  # the mode's nets and trained levels
     backend = model.backend(bs.mode)
     try:
         rcs = [RangeDecoder(p, f"channel {ch} payload") for ch, p in enumerate(bs.payloads)]

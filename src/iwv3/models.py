@@ -268,9 +268,7 @@ class Model:
             if qstep_offset != 0.0:
                 raise ValueError("lossless mode has no quantization step to offset")
             return QuantGrid.uniform(levels, 1.0)
-        grid = QuantGrid.from_weights(self.weights, levels)
-        if qstep_offset != 0.0:
-            grid = grid.scaled(qstep_offset)
+        grid = QuantGrid.from_weights(self.weights, levels).scaled(qstep_offset)
         with np.errstate(over="ignore"):
             steps = {key: float(np.float32(q)) for key, q in grid.items()}
         for (_, level, kind), q in steps.items():

@@ -39,11 +39,9 @@ def encode_rgb(rgb: np.ndarray, weights, mode: str, levels: int | None = None,
     qpyramids = []
     for ch, plane in enumerate(planes.planes):
         pyr = forward_pyramid(backend, plane, levels)
-        qpyr = pyr.map(lambda g: g)
         for level, kind in coding_order(levels):
-            q = grid.qstep(ch, level, kind)
-            qpyr.set(level, kind, quantize(pyr.get(level, kind), q))
-        qpyramids.append(qpyr)
+            pyr.set(level, kind, quantize(pyr.get(level, kind), grid.qstep(ch, level, kind)))
+        qpyramids.append(pyr)
     return encode_image(qpyramids, grid, weights, mode,
                         (planes.true_width, planes.true_height))
 

@@ -37,7 +37,7 @@ _BUCKET_BITS = 8
 _BUCKET_FIRST = np.arange(0, TOTAL, 1 << _BUCKET_BITS)
 _BUCKET_LAST = _BUCKET_FIRST + ((1 << _BUCKET_BITS) - 1)
 # The lookup of a table no bucket serves: every target bisects.
-_NO_BUCKETS = (None,) * (TOTAL >> _BUCKET_BITS)
+_NO_BUCKETS = (-1,) * (TOTAL >> _BUCKET_BITS)
 
 
 class RangeError(ValueError):
@@ -111,8 +111,8 @@ class SymbolTable:
 
     `cum` holds the entries as a list.  When they strictly increase, each
     bucket of 256 targets that the bisection of RangeDecoder maps to a single
-    symbol is looked up instead; an out-of-order table (a non-finite
-    mixture's) bisects every target."""
+    symbol holds that symbol, and every other bucket holds -1; an
+    out-of-order table (a non-finite mixture's) bisects every target."""
 
     __slots__ = ("cum", "_buckets")
 
@@ -126,11 +126,7 @@ class SymbolTable:
             inner = arr[1:-1]
             first = np.searchsorted(inner, _BUCKET_FIRST, side="right")
             last = np.searchsorted(inner, _BUCKET_LAST, side="right")
-            cums = arr[first]
-            buckets = list(zip(first.tolist(), cums.tolist(), (arr[first + 1] - cums).tolist()))
-            for b in np.flatnonzero(first != last).tolist():
-                buckets[b] = None
-            self._buckets = buckets
+            self._buckets = np.where(first == last, first, -1).tolist()
 
 
 class RangeDecoder:
@@ -187,8 +183,8 @@ class RangeDecoder:
 
     def _decode(self, cum_tables, size: int, buckets) -> list:
         """Decode one symbol per table of `size` entries; `buckets` maps a
-        target's top 8 bits to its symbol's (symbol, cum, freq), or to None
-        to bisect the table.
+        target's top 8 bits to its symbol, or to -1 to bisect the table.  The
+        symbol's interval is then read from its table.
 
         Symbols before a corrupt or missing byte stay consumed when it raises."""
         data, end, last = self._data, len(self._data), size - 1
@@ -201,18 +197,14 @@ class RangeDecoder:
                 target = code // r
                 if target >= 65536:  # no encoder leaves the code there
                     raise RangeError(f"{self._name} corrupt before byte {pos}")
-                entry = buckets[target >> 8]
-                if entry is None:
+                lo = buckets[target >> 8]
+                if lo < 0:
                     # the last lo in [0, size - 2] with cum_table[lo] <= target
                     # (0 if none)
                     lo = bisect_right(cum_table, target, 1, last) - 1
-                    cum = cum_table[lo]
-                    code -= r * cum
-                    rng = r * (cum_table[lo + 1] - cum)
-                else:
-                    lo, cum, freq = entry
-                    code -= r * cum
-                    rng = r * freq
+                cum = cum_table[lo]
+                code -= r * cum
+                rng = r * (cum_table[lo + 1] - cum)
                 while rng < 16777216:
                     if pos >= end:
                         raise RangeError(f"{self._name} underrun at byte {pos}")

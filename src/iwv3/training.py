@@ -76,11 +76,15 @@ class TrainConfig:
     dq_channels: int = 16
 
     def __post_init__(self):
+        if self.mode not in ("additive", "affine"):
+            raise ValueError(f"mode must be additive or affine, not {self.mode!r}")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-        for name in ("stage1_steps", "stage2_steps", "stage3_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("levels", "steps", "stage1_steps", "stage2_steps", "stage3_steps",
+                     "batch", "crop", "n_crops", "dq_channels", "dq_groups", "dq_blocks"):
+            least = 0 if name in ("dq_groups", "dq_blocks") else 1
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def dq_net(self) -> DequantNet:
         return DequantNet(self.dq_groups, self.dq_blocks, self.dq_channels)
@@ -184,7 +188,7 @@ def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
     for level, kind in coding_order(pyr.levels):
         values, grid = quantizer(level, kind, pyr.get(level, kind))
         l_t = gt.concat_channels([np.zeros(np.shape(grid)) if g is None else g
-                                  for g in ltc.stack_for(level, kind)])
+                                  for g in ltc.stack_for(kind)])
         term = rate(kind, grid, l_t, gt._wrap(values))
         bits = term if bits is None else bits + term
         ltc.advance(level, kind, grid)

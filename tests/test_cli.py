@@ -356,6 +356,33 @@ class TestInspect:
             assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["lossless", "additive", "affine"])
+    def test_mode_its_weights_do_not_carry_exit_3(self, mode, workdir, capsys):
+        # The checksum covers the weights, not the header: a stream relabelled
+        # to a lossy mode its weights carry no nets for is a weights mismatch.
+        # Relabelled lossless, a lossy stream's step 16 is refused first.
+        src = workdir / "in.ppm"
+        _write_image(src, natural_photo(16, 16, 14))
+        stream = workdir / "s.iwv3"
+        options = []
+        if mode != "lossless":
+            wpath = workdir / "w.iwtw"
+            wpath.write_bytes(save_weights(perturbed_lossy_weights(mode, 2, seed=5)))
+            options = ["--weights", str(wpath)]
+        assert main(["encode", str(src), str(stream), "--mode", mode, *options]) == 0
+        data = stream.read_bytes()
+        capsys.readouterr()
+        out = workdir / "b.ppm"
+        for code, other in enumerate(("lossless", "additive", "affine")):
+            if other == mode:
+                continue
+            stream.write_bytes(data[:5] + bytes([code]) + data[6:])  # the mode byte
+            assert main(["decode", str(stream), str(out), *options]) == (
+                5 if other == "lossless" else 3), other
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
     def test_corrupt_magic_exit_5(self, workdir, capsys):
         bad = workdir / "bad.iwv3"
         bad.write_bytes(b"XXXX" + bytes(60))

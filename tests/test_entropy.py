@@ -103,7 +103,7 @@ class TestLongTermContext:
         order = coding_order(pyr.levels)
         for level, kind in order[:n]:
             ltc.advance(level, kind, pyr.get(level, kind))
-        return ltc.stack_for(*order[n])
+        return ltc.stack_for(order[n][1])
 
     def test_first_subband_zero_stack(self):
         pyr = self._deq_pyramid(2)
@@ -130,7 +130,7 @@ class TestLongTermContext:
     def test_missing_predecessor_rejected(self):
         ltc = LongTermContext(Cdf53())
         with pytest.raises(ValueError, match="unknown subband"):
-            ltc.stack_for(2, "XX")
+            ltc.stack_for("XX")
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     @pytest.mark.parametrize("transform, form", [
@@ -357,7 +357,7 @@ class SubbandPathChecks:
     make_weights = None
 
     def test_round_trip_wide_alphabet(self):
-        # an alphabet wider than SEARCH_FANOUT takes refinement rounds
+        # an alphabet wider than SEARCH_FANOUT brackets its symbols first
         cw, _, l_t, _, _ = _subband_setup(11, shape=(6, 6),
                                        make_weights=self.make_weights)
         rng = np.random.default_rng(12)
@@ -517,9 +517,9 @@ class TestEncoderBatches:
 
 
 def _wide_subband(alphabet, seed, shape=(5, 7)):
-    """Active context weights and values over an alphabet wider than
-    SEARCH_FANOUT, among them both range ends and the values on either side
-    of the first, second and last bracket boundaries."""
+    """Active context weights and values over an alphabet, among them both
+    range ends and, when it is wider than SEARCH_FANOUT, the values on either
+    side of the first, second and last bracket boundaries."""
     rng = np.random.default_rng(seed)
     cw = extract_context_arrays(random_ctx_weights(seed), "LH")
     vmin = -(alphabet // 2)
@@ -531,6 +531,7 @@ def _wide_subband(alphabet, seed, shape=(5, 7)):
     values.flat[:len(edges)] = edges
     # values near the mixture's mode, where the widest intervals lie
     values.flat[len(edges):len(edges) + 8] = rng.integers(-3, 4, 8)
+    values = np.clip(values, vmin, vmax)  # a no-op past SEARCH_FANOUT
     l_t = rng.normal(0, 4, (3,) + shape)
     return cw, values, l_t, vmin, vmax
 
@@ -576,24 +577,43 @@ class TestWideAlphabetSearch:
             decode(np.random.default_rng(corrupt_seed).bytes(64))
         assert str(info.value) == corrupt
 
-    @pytest.mark.parametrize("alphabet", [1 << 13, 20001, entropy.MAX_ALPHABET])
+    @pytest.mark.parametrize("alphabet", [2, 64, 65, 1 << 13, 20001, entropy.MAX_ALPHABET])
     def test_one_table_per_symbol_after_each_wavefront(self, alphabet, monkeypatch):
         cw, values, l_t, vmin, vmax = _wide_subband(alphabet, 83)
         payload, _ = encode_subband(values, cw, l_t, 1.0, vmin, vmax)
-        sizes = []
+        whole, tables, targets = [], [], []
+        decode_target = RangeDecoder.decode_target
 
         def counted(w, u, sigma, k, *args):
-            sizes.append(k.shape[1])
+            # a table of bracket boundaries spans the alphabet; no bracket does
+            spans = k[0, 0] == 0 and k[0, -1] == alphabet
+            (whole if spans else tables).append(k.shape[1])
             return quantized_cdf(w, u, sigma, k, *args)
 
+        def target(rc):
+            targets.append(1)
+            return decode_target(rc)
+
         monkeypatch.setattr(entropy, "quantized_cdf", counted)
+        monkeypatch.setattr(RangeDecoder, "decode_target", target)
         assert np.array_equal(
             decode_subband(payload, cw, l_t, 1.0, vmin, vmax, values.shape), values)
         wavefronts = sum(diag is not None for *_, diag in entropy._wavefronts(*values.shape))
-        assert len(sizes) == wavefronts + values.size
-        # about sqrt(alphabet) brackets of about sqrt(alphabet) symbols each
-        brackets = math.isqrt(alphabet)
-        assert max(sizes) <= -(-alphabet // brackets) + 1 <= brackets + 3
+        # about sqrt(alphabet) brackets of about sqrt(alphabet) symbols each,
+        # at least SEARCH_FANOUT of them and at most one per symbol
+        brackets = min(alphabet, max(entropy.SEARCH_FANOUT, math.isqrt(alphabet)))
+        assert whole == [brackets + 1] * wavefronts
+        if alphabet <= entropy.SEARCH_FANOUT:
+            # one-symbol brackets: the whole tables, one run per channel
+            assert not tables and not targets
+            return
+        # one target per symbol, and the table of its bracket unless that
+        # holds one symbol
+        assert len(targets) == values.size
+        bounds = np.arange(brackets + 1) * alphabet // brackets
+        widths = np.diff(bounds)[np.searchsorted(bounds, values - vmin, side="right") - 1]
+        assert len(tables) == np.count_nonzero(widths > 1)
+        assert max(tables) <= -(-alphabet // brackets) + 1 <= brackets + 3
 
 
 class TestSubbandCodecStaticPath(SubbandPathChecks):

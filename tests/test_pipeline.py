@@ -65,7 +65,7 @@ class TestLossless:
     def test_golden_active_head_stream(self):
         # Fresh lossless weights have active context heads, so every subband
         # takes the wavefront path: LL3 spans 222 values and is decoded by the
-        # refinement rounds, the others by range-coder runs.  The SHA-256 of
+        # bracket search, the others by range-coder runs.  The SHA-256 of
         # the stream and of its per-subband model bits may change only
         # together with entropy.STREAM_VERSION.
         weights = models.init_weights("lossless", 3, seed=7)

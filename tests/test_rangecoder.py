@@ -385,14 +385,13 @@ def _nan_table(k):
 
 
 def _pure_buckets(table):
-    """Per bucket of 256 targets of an increasing table, the (symbol, cum,
-    freq) of the one symbol that holds all of it, or None when an inner
-    boundary falls inside the bucket."""
+    """Per bucket of 256 targets of an increasing table, the one symbol that
+    holds all of it, or -1 when an inner boundary falls inside the bucket."""
     out = []
     for b in range(TOTAL // 256):
         s = bisect_right(table, b * 256, 1, len(table) - 1) - 1
         pure = not any(b * 256 < c < (b + 1) * 256 for c in table[1:-1])
-        out.append((s, table[s], table[s + 1] - table[s]) if pure else None)
+        out.append(s if pure else -1)
     return out
 
 
@@ -419,7 +418,7 @@ class TestBucketLookup:
         noise = data.draw(st.binary(min_size=4, max_size=64))
         lookup = self._check(table, [payload, cut, noise], len(symbols))
         assert lookup._buckets == _pure_buckets(table)
-        assert any(entry is not None for entry in lookup._buckets)
+        assert any(entry >= 0 for entry in lookup._buckets)
         assert RangeDecoder(payload).decode_run(lookup, len(symbols)) == symbols
 
     def test_one_tick_symbols_on_every_side_of_an_edge(self):
@@ -437,7 +436,7 @@ class TestBucketLookup:
            n=st.integers(1, 200))
     def test_out_of_order_table_bisects_every_target(self, k, payload, n):
         lookup = self._check(_nan_table(k), [payload], n)
-        assert all(entry is None for entry in lookup._buckets)
+        assert all(entry == -1 for entry in lookup._buckets)
 
     def test_max_alphabet_table_has_no_pure_bucket(self):
         table = _table([1] * MAX_ALPHABET)
@@ -447,5 +446,5 @@ class TestBucketLookup:
         noise = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
         lookup = self._check(table, [payload, payload[: len(payload) // 2], noise],
                              len(symbols))
-        assert all(entry is None for entry in lookup._buckets)
+        assert all(entry == -1 for entry in lookup._buckets)
         assert RangeDecoder(payload).decode_run(lookup, len(symbols)) == symbols

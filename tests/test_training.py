@@ -103,6 +103,16 @@ class TestConfig:
             TrainConfig(lam=0.0)
         with pytest.raises(ValueError, match="steps"):
             TrainConfig(stage2_steps=0)
+        # each a ValueError naming its key, from the config text as from
+        # the constructor
+        for key, value in [("mode", "lossless"), ("mode", "cubic"), ("levels", 0),
+                           ("steps", 0), ("batch", 0), ("crop", 0), ("n_crops", 0),
+                           ("dq_channels", 0), ("dq_groups", -1), ("dq_blocks", -1)]:
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                TrainConfig(**{key: value})
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                TrainConfig.parse(f"{key} = {value}\n")
+        assert TrainConfig(dq_groups=0, dq_blocks=0).dq_net().groups == 0
 
 
 class TestStageContracts:
