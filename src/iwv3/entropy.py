@@ -35,7 +35,7 @@ from . import gradtape as gt
 from . import models
 from .gradtape import ModelWeights, Tensor, save_weights
 from .imageio import padded_size
-from .lifting import SubbandPyramid, inverse2d_level
+from .lifting import SUBBAND_KINDS, SubbandPyramid, inverse2d_level
 from .quant import dequantize
 from .rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError, SymbolTable
 
@@ -195,17 +195,14 @@ class LongTermContext:
         self._ll = None
         self._seen = {}
 
-    def stack_for(self, kind: str):
-        """Context grids for the target subband; None marks a zero channel."""
-        if kind == "LL":
-            return [None, None, None]
-        if kind == "HL":
-            return [self._ll, None, None]
-        if kind == "LH":
-            return [self._ll, self._seen.get("HL"), None]
-        if kind == "HH":
-            return [self._ll, self._seen.get("HL"), self._seen.get("LH")]
-        raise ValueError(f"unknown subband kind {kind!r}")
+    def stack_for(self, kind: str, shape):
+        """The target subband's three context grids, its level's LL, HL and
+        LH, each zeros of `shape` where it is not coded before the target."""
+        if kind not in SUBBAND_KINDS:
+            raise ValueError(f"unknown subband kind {kind!r}")
+        coded = SUBBAND_KINDS.index(kind)
+        grids = [self._ll, self._seen.get("HL"), self._seen.get("LH")][:coded]
+        return grids + [np.zeros(shape)] * (LT_WIDTH - coded)
 
     def advance(self, level: int, kind: str, deq_grid) -> None:
         if kind == "LL":
@@ -743,11 +740,7 @@ def code_channel(rcs, bs: Bitstream, ctx_arrays, backend, pyramids=None):
                                  f"the header geometry gives {shape}")
         cw, l_t = ctx_arrays[kind], None
         if not cw["static"]:  # a static head never reads L_t
-            l_t = np.zeros((len(rcs), LT_WIDTH) + shape)
-            for ch, ltc in enumerate(ltcs):
-                for idx, g in enumerate(ltc.stack_for(kind)):
-                    if g is not None:  # None is a zero grid
-                        l_t[ch, idx] = g
+            l_t = np.array([ltc.stack_for(kind, shape) for ltc in ltcs], dtype=np.float64)
         codec = SubbandCodec(cw, l_t, qstep, vmin, vmax, shape)
         try:
             values = codec.run(rcs, values)

@@ -173,11 +173,6 @@ def _inv_axis(backend, l, h, axis):
     return np.moveaxis(merge(x_e, x_o), -1, axis)
 
 
-def _plane_hw(plane):
-    shape = plane.data.shape if isinstance(plane, Tensor) else np.shape(plane)
-    return shape[-2], shape[-1]
-
-
 def _needs_wrap(backend, grid):
     # CNN nets must see planes in natural (H, W) orientation regardless of
     # the transform direction, so bare-array planes are lifted to tensors.
@@ -204,7 +199,7 @@ def transform2d_level(backend, plane):
 
     Returns (LL, HL, LH, HH); the first letter is the row-direction band.
     """
-    h, w = _plane_hw(plane)
+    h, w = np.shape(plane)[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"plane dims must be even, got {h}x{w}")
     wrapped = _needs_wrap(backend, plane)
@@ -221,7 +216,7 @@ def transform2d_level(backend, plane):
 
 def inverse2d_level(backend, ll, hl, lh, hh):
     for grid in (hl, lh, hh):
-        if _plane_hw(grid) != _plane_hw(ll):
+        if np.shape(grid)[-2:] != np.shape(ll)[-2:]:
             raise ValueError("subband geometry inconsistent")
     wrapped = _needs_wrap(backend, ll)
     if wrapped:
@@ -261,19 +256,12 @@ class SubbandPyramid:
             triple[("HL", "LH", "HH").index(kind)] = grid
             self.details[level - 1] = tuple(triple)
 
-    def map(self, fn) -> "SubbandPyramid":
-        return SubbandPyramid(
-            self.levels,
-            fn(self.ll),
-            [tuple(fn(g) for g in triple) for triple in self.details],
-        )
-
 
 def forward_pyramid(backend, plane, levels: int) -> SubbandPyramid:
     """Recursive 2D analysis: each level transforms the previous LL."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    h, w = _plane_hw(plane)
+    h, w = np.shape(plane)[-2:]
     block = 1 << levels
     if h % block or w % block:
         raise ValueError(f"dims {h}x{w} not divisible by 2^{levels}")

@@ -169,14 +169,12 @@ def _trained_geometry(weights: ModelWeights, mode: str):
     lossless, once every tensor the mode needs is checked; raises
     WeightsError otherwise."""
     if mode == "lossless":
-        needed = {}
-        for kind in SUBBAND_KINDS:
-            needed.update(context_weight_shapes(kind))
         levels, steps, dq = None, 0, None
+        needed = all_weight_shapes(mode, levels)
     else:
         kind = infer_transform_kind(weights)
         if kind != mode:
-            raise WeightsError(f"weights hold a {kind} transform, not {mode}")
+            raise WeightsError(f"weights hold the {kind} transform, not {mode}")
         steps = infer_steps(weights)
         dq = infer_dq_shape(weights)
         levels = infer_levels(weights)

@@ -58,7 +58,7 @@ def decode_bytes(data: bytes, weights) -> np.ndarray:
         plane = inverse_pyramid(backend, finals[ch])
         finals[ch] = None  # free this channel's grids before the next inverse
         out_planes.append(plane if dq_net is None
-                          else dequant_filter_plane(dq_net, model.weights, plane))
+                          else dequant_filter_plane(dq_net, model.params, plane))
     return planes_to_rgb(out_planes, bs.true_width, bs.true_height)
 
 

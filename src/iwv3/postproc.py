@@ -62,10 +62,7 @@ def dequant_filter(net: DequantNet, params, plane):
         raise ValueError(f"dequant net weights incomplete: missing {missing}") from None
 
 
-def dequant_filter_plane(net: DequantNet, weights, plane2d):
-    """Eager convenience wrapper on a bare (H, W) array."""
-    t = Tensor(plane2d.reshape((1, 1) + plane2d.shape))
-    params = {name: Tensor(values) for name, values in weights.items()
-              if name.startswith("dq.")}
-    out = dequant_filter(net, params, t)
+def dequant_filter_plane(net: DequantNet, params, plane2d):
+    """`dequant_filter` on a bare (H, W) array, under Tensor `params`."""
+    out = dequant_filter(net, params, Tensor(plane2d.reshape((1, 1) + plane2d.shape)))
     return out.data.reshape(plane2d.shape)

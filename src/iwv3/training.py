@@ -187,8 +187,7 @@ def rd_graph(backend, pyr, quantizer, rate, params, dq_net: DequantNet):
     bits = None
     for level, kind in coding_order(pyr.levels):
         values, grid = quantizer(level, kind, pyr.get(level, kind))
-        l_t = gt.concat_channels([np.zeros(np.shape(grid)) if g is None else g
-                                  for g in ltc.stack_for(kind)])
+        l_t = gt.concat_channels(ltc.stack_for(kind, np.shape(grid)))
         term = rate(kind, grid, l_t, gt._wrap(values))
         bits = term if bits is None else bits + term
         ltc.advance(level, kind, grid)
@@ -216,27 +215,19 @@ def _rd_loss(bits, refined: Tensor, original: np.ndarray, lam: float):
 
 
 class SgdMomentum:
-    """Plain gradient descent with momentum 0.9, per-name velocity state."""
+    """Gradient descent with momentum, per-name velocity state.  A step
+    updates exactly the weights its gradients name: the ones the graph reached."""
 
     def __init__(self, momentum: float = 0.9):
         self.momentum = momentum
         self._vel = {}
 
-    def step(self, weights: ModelWeights, grads: dict, lr: float, names) -> None:
-        for name in names:
-            g = grads.get(name)
-            if g is None:
-                continue
+    def step(self, weights: ModelWeights, grads: dict, lr: float) -> None:
+        for name, g in grads.items():
             v = self._vel.get(name)
             v = g if v is None else self.momentum * v + g
             self._vel[name] = v
             weights.set(name, weights[name] - lr * v)
-
-
-def _trainable_names(weights: ModelWeights, stage: int):
-    if stage == 2:
-        return list(weights.names())
-    return [n for n in weights.names() if n.startswith(("ctx.", "dq."))]
 
 
 def _check_finite(report: LossReport, stage: str) -> LossReport:
@@ -270,7 +261,7 @@ def pretrain_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
     total = gt.add(bpp, gt.scale(mse, cfg.lam))
 
     grads = tape.backward(total)
-    opt.step(weights, grads, cfg.lr1, _trainable_names(weights, 1))
+    opt.step(weights, grads, cfg.lr1)
     rms = math.sqrt(float(mse.data))
     report = LossReport(float(bpp.data), rms, float(bpp.data) + cfg.lam * rms)
     return _check_finite(report, "stage 1")
@@ -310,7 +301,7 @@ def e2e_soft_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfig,
     tape, total, report = soft_rd_graph(batch, weights, cfg, alpha, rng)
     _check_finite(report, "stage 2")
     grads = tape.backward(total)
-    opt.step(weights, grads, cfg.lr2, _trainable_names(weights, 2))
+    opt.step(weights, grads, cfg.lr2)
     return report
 
 
@@ -330,7 +321,7 @@ def hard_finetune_step(batch: np.ndarray, weights: ModelWeights, cfg: TrainConfi
     total, report = _rd_loss(bits, refined, batch, cfg.lam)
     _check_finite(report, "stage 3")
     grads = tape.backward(total)
-    opt.step(weights, grads, cfg.lr3, _trainable_names(weights, 3))
+    opt.step(weights, grads, cfg.lr3)
     return report
 
 
@@ -481,9 +472,7 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
         v = soft_to_hard_quant(gt.scale(coeffs, 1.0 / q), ALPHA_MAX, 0.0)
         return v, gt.scale(v, q)
 
-    for _ in range(iters):
-        if lr == 0.0:
-            break
+    for _ in range(iters if lr != 0.0 else 0):
         for ch in range(3):
             tape = gt.Tape()
             x = tape.leaf(cur[ch][None, None], name="image", requires_grad=True)
@@ -497,7 +486,7 @@ def online_optimize(rgb: np.ndarray, weights: ModelWeights, lr: float = 1e-3,
     candidate = planes_to_rgb(cur, planes0.true_width, planes0.true_height)
 
     before = measure_rd(rgb, rgb, weights, mode, lam)
-    if iters == 0 or lr == 0.0 or np.array_equal(candidate, rgb):
+    if np.array_equal(candidate, rgb):  # the color round trip is exact
         return rgb, before, before
     after = measure_rd(candidate, rgb, weights, mode, lam)
     if after.total <= before.total:

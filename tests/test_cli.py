@@ -381,6 +381,8 @@ class TestInspect:
                 5 if other == "lossless" else 3), other
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            if {mode, other} == {"additive", "affine"}:
+                assert err == f"error: weights hold the {mode} transform, not {other}\n"
             assert not out.exists()
 
     def test_corrupt_magic_exit_5(self, workdir, capsys):

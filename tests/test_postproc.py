@@ -41,7 +41,7 @@ class TestDequantFilter:
         weights = models.init_weights("additive", 2, seed=0)
         net = models.infer_dq_shape(weights)
         plane = np.random.default_rng(2).normal(0, 10, (6, 6))
-        out = dequant_filter_plane(net, weights, plane)
+        out = dequant_filter_plane(net, models.prepare(weights).params, plane)
         assert out.shape == plane.shape
         # zero-initialized tail keeps the filter an identity
         assert np.array_equal(out, plane)

@@ -358,20 +358,22 @@ class TestMeasuredTraining:
     def test_trained_dequant_improves_mse(self, trained_toy):
         # measured against the stage that optimizes exactly this quantity:
         # the classical-transform reconstruction before and after the filter
+        from iwv3.entropy import coding_order
         from iwv3.lifting import Cdf97, forward_pyramid, inverse_pyramid
         from iwv3.postproc import dequant_filter_plane
         from iwv3.quant import quantize
 
         cfg, images, snapshots, _, _ = trained_toy
-        weights = snapshots["stage1"]
+        params = models.prepare(snapshots["stage1"]).params
         crops = training.make_crops(images, cfg, np.random.default_rng(cfg.seed))
         backend = Cdf97()
         for crop in crops[:4]:
-            pyr = forward_pyramid(backend, crop, cfg.levels)
-            deq = pyr.map(lambda g: quantize(g, cfg.pretrain_qstep).astype(float)
-                          * cfg.pretrain_qstep)
+            deq = forward_pyramid(backend, crop, cfg.levels)
+            for level, kind in coding_order(cfg.levels):
+                q = quantize(deq.get(level, kind), cfg.pretrain_qstep)
+                deq.set(level, kind, q.astype(float) * cfg.pretrain_qstep)
             recon = inverse_pyramid(backend, deq)
-            refined = dequant_filter_plane(cfg.dq_net(), weights, recon)
+            refined = dequant_filter_plane(cfg.dq_net(), params, recon)
             assert np.mean((refined - crop) ** 2) <= np.mean((recon - crop) ** 2)
 
 
