@@ -1,9 +1,9 @@
 """Command-line interface: encode, decode, train, optimize, inspect.
 
-Exit codes: 0 ok, 2 bad input, 3 weights mismatch, 4 I/O failure,
-5 corrupt stream (or one too large to decode in memory), 6 non-finite
-training loss.  Stats go to stdout as space-separated key=value pairs;
-diagnostics go to stderr, one line.
+Exit codes: 0 ok, 2 bad input (or an image too large to encode in memory),
+3 weights mismatch, 4 I/O failure, 5 corrupt stream (or one too large to
+decode in memory), 6 non-finite training loss.  Stats go to stdout as
+space-separated key=value pairs; diagnostics go to stderr, one line.
 """
 
 from __future__ import annotations
@@ -52,9 +52,12 @@ def cmd_encode(args) -> int:
         raise WeightsError(f"mode {args.mode} requires --weights")
     weights = _load_weights_arg(args.weights)
     start = time.monotonic()
-    bs = pipeline.encode_rgb(rgb, weights, args.mode, levels=args.levels,
-                             qstep_offset=args.qstep_offset)
-    packed = bs.pack()
+    try:
+        bs = pipeline.encode_rgb(rgb, weights, args.mode, levels=args.levels,
+                                 qstep_offset=args.qstep_offset)
+        packed = bs.pack()
+    except MemoryError as err:
+        raise ValueError(f"out of memory encoding the image: {err}") from None
     with open(args.output, "wb") as fh:
         fh.write(packed)
     elapsed = time.monotonic() - start

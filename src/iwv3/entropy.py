@@ -26,6 +26,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -332,15 +333,23 @@ def _mixture(raw: np.ndarray):
     return mw, raw[:, GMM_K : 2 * GMM_K], np.maximum(ex[:, 2 * GMM_K :], SIGMA_FLOOR)
 
 
+@cache
+def _cost_table() -> np.ndarray:
+    """Model bits log2(TOTAL / f) of every frequency f in [0, TOTAL], inf at 0."""
+    log2_total = math.log2(TOTAL)
+    costs = (log2_total - math.log2(f) if f else math.inf for f in range(TOTAL + 1))
+    table = np.fromiter(costs, np.float64, TOTAL + 1)
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
 def _costs(freqs: np.ndarray) -> np.ndarray:
     """Model bits log2(TOTAL / f) of each frequency f, per element.
 
     A non-finite mixture can leave a table out of order (on x86 the inner
-    entries at INT64_MIN + k): a width that comes out zero or negative costs
-    inf, and encode_run refuses it before its cost is added."""
-    log2_total = math.log2(TOTAL)
-    return np.array([log2_total - math.log2(f) if f > 0 else math.inf
-                     for f in freqs.tolist()])
+    entries at INT64_MIN + k): a width that comes out zero, negative or above
+    TOTAL costs inf, and encode_run refuses it before its cost is added."""
+    return _cost_table()[np.where((freqs > 0) & (freqs <= TOTAL), freqs, 0)]
 
 
 class SubbandCodec:
@@ -548,7 +557,7 @@ class SubbandCodec:
         """Encode (B, symbols) intervals [cums, cums + freqs) in coding order,
         row b through rcs[b], and add their costs to the channels' model
         bits."""
-        for rc, c, f in zip(rcs, cums.tolist(), freqs.tolist()):
+        for rc, c, f in zip(rcs, cums, freqs):
             rc.encode_run(c, f)
         # cumsum adds along each row in coding order, from the running total
         self.channel_bits = np.cumsum(np.column_stack((self.channel_bits, cost)),

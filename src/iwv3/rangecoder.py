@@ -1,17 +1,25 @@
-"""Byte-oriented range coder: 64-bit low, 32-bit range, carry counting.
+"""Byte-oriented range coder: 32-bit range, 16-bit frequencies.
 
 Frequencies are 16-bit (total 65536) and every codable symbol must have a
-nonzero frequency and an interval inside [0, TOTAL).  Carries propagate through a run of pending 0xFF bytes;
-the leading cache byte is withheld until the first renormalization, so the
-total overhead beyond the information content is at most ~4 bytes.
+nonzero frequency and an interval inside [0, TOTAL).
 
-`RangeEncoder.encode_run` codes a whole sequence in one loop with the coder
-state in locals, and `RangeDecoder._decode` is the one decode loop:
-`decode_tables` takes one table per symbol, `decode_run` one table for the
-whole run.  `encode` and `decode` are the one-symbol case.  The loops spell
-TOTAL = 2^16 and the renormalization bound 2^24 as literals, and drop the
-masks that the state's bounds make no-ops: a range under 2^24 shifts to one
-under 2^32, and a cache byte plus its carry stays under 256.
+The encoder's output is one exact sum (Martin, "Range encoding", 1979): each
+symbol adds r * cum, r the range's top 16 bits before it, at the byte place
+its renormalizations have reached, and the payload is the sum's bytes.  So
+the range is the only state the encoder carries from symbol to symbol.
+`RangeEncoder` runs that recurrence over a block of symbols in one Python
+loop (`_ranges`); numpy places every term at its byte and sums the terms
+that share a place, and Python ints resolve the carries, inside a block and
+into the bytes that earlier blocks wrote.  The bytes are those of the classic
+encoder with a 33-bit low, a cache byte and a run of pending 0xFF bytes that
+a carry turns to 0x00.  `finish` writes the 4 bytes of low, so the payload
+exceeds the information content by at most ~4 bytes.
+
+`RangeDecoder._decode` is the one decode loop: `decode_tables` takes one
+table per symbol, `decode_run` one table for the whole run, and `decode` is
+the one-symbol case.  The loop spells TOTAL = 2^16 and the renormalization
+bound 2^24 as literals and drops the mask that the state's bounds make a
+no-op: a code under a range under 2^24 shifts to one under 2^32.
 
 A run decoded against one strictly increasing table looks its symbol up by
 the target's top 8 bits first (`SymbolTable`): a bucket of 256 targets that
@@ -31,6 +39,9 @@ TOTAL_BITS = 16
 TOTAL = 1 << TOTAL_BITS
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
+# Symbols the encoder codes at once: its per-symbol arrays and lists stay
+# this long however long the runs it is given.
+_BLOCK = 1 << 16
 # Targets per lookup bucket: a target's bucket is its top 8 bits.
 _BUCKET_BITS = 8
 # The first and last target of each bucket.
@@ -44,13 +55,28 @@ class RangeError(ValueError):
     """Corrupt or exhausted range-coded payload."""
 
 
+def _ranges(freqs, r):
+    """The range's top 16 bits after each of the symbols of widths `freqs`,
+    from `r` before the first."""
+    for f in freqs:
+        p = r * f
+        r = p >> 16 if p >= 16777216 else p >> 8 if p >= 65536 else p
+        yield r
+
+
 class RangeEncoder:
+    """Encoder whose only per-symbol state is the range's top 16 bits.
+
+    `encode_run` checks a run's intervals at once and holds the valid ones;
+    they are coded in blocks of _BLOCK symbols, and the rest at `finish`.
+    `_out` holds the bytes written so far, which a carry may still change,
+    and `_low` the 32 bits below them."""
+
     def __init__(self):
+        self._r = _MASK32 >> 16
         self._low = 0
-        self._range = _MASK32
-        self._cache = None
-        self._pending = 0
         self._out = bytearray()
+        self._cums, self._freqs, self._held = [], [], 0
 
     def encode(self, cum: int, freq: int) -> None:
         """Encode a symbol spanning [cum, cum + freq) of [0, TOTAL)."""
@@ -61,49 +87,77 @@ class RangeEncoder:
 
         Symbols before one whose interval is empty or leaves [0, TOTAL) stay
         encoded when it raises."""
-        low, rng, cache, pending = self._low, self._range, self._cache, self._pending
-        out = self._out
-        append = out.append
-        try:
-            for cum, freq in zip(cums, freqs):
-                if not 0 <= cum < cum + freq <= 65536:
-                    if freq <= 0:
-                        raise RangeError("zero-probability symbol requested")
-                    raise RangeError(f"symbol interval [{cum}, {cum + freq}) "
-                                     f"outside [0, {TOTAL})")
-                r = rng >> 16
-                low += r * cum
-                rng = r * freq
-                while rng < 16777216:
-                    # shift the top byte of low (33 bits at most) out, through
-                    # the cache and the pending 0xFF run a carry may change
-                    if low < 0xFF000000:
-                        if cache is not None:
-                            append(cache)
-                        if pending:
-                            out += b"\xff" * pending
-                            pending = 0
-                        cache = low >> 24
-                    elif low > 0xFFFFFFFF:
-                        # a carry: no carry comes before the first cache byte
-                        append(cache + 1)
-                        if pending:
-                            out += bytes(pending)
-                            pending = 0
-                        cache = (low >> 24) - 256
-                    else:
-                        pending += 1
-                    low = (low << 8) & 0xFFFFFFFF
-                    rng <<= 8
-        finally:
-            self._low, self._range, self._cache, self._pending = low, rng, cache, pending
+        cums = np.array(cums, dtype=np.int64)
+        freqs = np.array(freqs, dtype=np.int64)
+        # TOTAL - cums wraps only where cums < 0, which the first test refuses
+        ok = (cums >= 0) & (cums < TOTAL) & (freqs > 0) & (freqs <= TOTAL - cums)
+        n = len(ok) if ok.all() else int(ok.argmin())
+        if n:
+            self._cums.append(cums[:n])
+            self._freqs.append(freqs[:n])
+            self._held += n
+            if self._held >= _BLOCK:
+                self._code_held(final=False)
+        if n < len(ok):
+            cum, freq = int(cums[n]), int(freqs[n])
+            if freq <= 0:
+                raise RangeError("zero-probability symbol requested")
+            raise RangeError(f"symbol interval [{cum}, {cum + freq}) "
+                             f"outside [0, {TOTAL})")
 
     def finish(self) -> bytes:
-        # Symbols at cum 0 leave low as it is; widths 1, 1 and 256 take 2, 2
-        # and 1 shifts to renormalize from any range, the five shifts that
-        # push the cache, the pending bytes and all of low out.
+        # Symbols at cum 0 leave the sum as it is; widths 1, 1 and 256 take
+        # 2, 2 and 1 shifts to renormalize from any range, the five shifts
+        # that move all of low out and one zero byte after it, which is not
+        # written.
         self.encode_run((0, 0, 0), (1, 1, 256))
-        return bytes(self._out)
+        self._code_held(final=True)
+        return bytes(self._out[:-1])
+
+    def _code_held(self, final: bool) -> None:
+        """Code the held symbols in blocks of _BLOCK, and hold the rest of a
+        block unless `final`."""
+        cums, freqs = np.concatenate(self._cums), np.concatenate(self._freqs)
+        end = len(cums) if final else len(cums) - len(cums) % _BLOCK
+        for start in range(0, end, _BLOCK):
+            self._code_block(cums[start:start + _BLOCK], freqs[start:start + _BLOCK])
+        self._cums, self._freqs = [cums[end:].copy()], [freqs[end:].copy()]
+        self._held = len(cums) - end
+
+    def _code_block(self, cums, freqs) -> None:
+        """Code a block of valid intervals.
+
+        The range after a symbol is r * freq shifted left by 2 bytes below
+        2^16, by 1 below 2^24, else not at all, so the next r is r * freq
+        shifted right by 0, 8 or 16 bits: that recurrence is the only loop.
+        A symbol's term r * cum then counts 256^S times in the block's sum,
+        S the shifts from it to the block's end, its own included."""
+        after_r = np.fromiter(_ranges(freqs.tolist(), self._r), np.int64, len(freqs))
+        r = np.concatenate(([self._r], after_r[:-1]))
+        self._r = int(after_r[-1])
+        p = r * freqs
+        shifts = (p < 16777216).astype(np.int64) + (p < 65536)
+        after = np.cumsum(shifts[::-1])[::-1]
+        terms = r * cums
+        terms[0] += self._low  # the low word sits where the first term does
+        # per byte place, the sum of its terms: below 2^16 * 2^33, so exact
+        # in float64, and as uint64 words 8 places apart one Python int each
+        digits = np.bincount(after, weights=terms).astype("<u8")
+        total = sum(int.from_bytes(digits[k::8].tobytes(), "little") << (8 * k)
+                    for k in range(8))
+        # a carry byte, the bytes shifted out in the block, the new low word
+        shifted = len(digits) - 1
+        block = total.to_bytes(shifted + 5, "big")
+        out = self._out
+        if block[0]:
+            # carry through the run of 0xFF bytes that ends the output
+            i = len(out) - 1
+            while out[i] == 255:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        out += block[1:shifted + 1]
+        self._low = int.from_bytes(block[shifted + 1:], "big")
 
 
 class SymbolTable:

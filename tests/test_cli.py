@@ -28,24 +28,25 @@ def _read_image(path):
     return read_ppm(path.read_bytes())
 
 
-def _decode_in_subprocess(stream, out, address_space, *options):
-    """Run `iwv3 decode` with its address space limited to the given bytes."""
+def _cli_in_subprocess(args, address_space=None):
+    """Run `iwv3 <args>` in its own process, so every stderr line is seen,
+    with its address space limited to `address_space` bytes if given."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2)
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, "-m", "iwv3.cli", "decode", str(stream), str(out), *options],
+        [sys.executable, "-m", "iwv3.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=limit_address_space)
+        preexec_fn=None if address_space is None else limit_address_space)
 
 
-def _encode_in_subprocess(src, out, *options):
-    """Run `iwv3 encode` in its own process, so every stderr line is seen."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return subprocess.run(
-        [sys.executable, "-m", "iwv3.cli", "encode", str(src), str(out), *options],
-        capture_output=True, text=True, env=env, timeout=120)
+def _decode_in_subprocess(stream, out, address_space, *options):
+    return _cli_in_subprocess(["decode", stream, out, *options], address_space)
+
+
+def _encode_in_subprocess(src, out, *options, address_space=None):
+    return _cli_in_subprocess(["encode", src, out, *options], address_space)
 
 
 def _assert_bad_input_one_line(proc, out):
@@ -328,6 +329,21 @@ class TestInspect:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "memory" in proc.stderr
+
+    def test_out_of_memory_encoding_exit_2(self, workdir):
+        # The weights' context heads are active, so the encoder runs the L_t
+        # branch, and for a 1024x1024 subband that needs more memory than
+        # the limit allows.
+        src = workdir / "in.ppm"
+        rng = np.random.default_rng(3)
+        _write_image(src, rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8))
+        wpath = workdir / "ctx.iwtw"
+        wpath.write_bytes(save_weights(models.init_weights("lossless", 1, seed=7)))
+        out = workdir / "s.iwv3"
+        proc = _encode_in_subprocess(src, out, "--levels", "1", "--weights", wpath,
+                                     address_space=1_500_000 * 1024)
+        _assert_bad_input_one_line(proc, out)
+        assert proc.stderr.startswith("error: out of memory encoding the image: ")
 
     def test_builtin_model_decodes_forged_geometry_in_bounded_memory(self, workdir, capsys):
         # The built-in model's static prior needs no L_t branch: the same

@@ -428,6 +428,14 @@ class TestSubbandCodec(SubbandPathChecks):
             assert 8 * len(payload) <= bits * 1.01 + 64
             assert 8 * len(payload) >= bits - 1
 
+    def test_costs_are_the_per_element_formula(self):
+        # every frequency a symbol can have, and widths encode_run refuses
+        # (zero, negative, past TOTAL), which cost inf
+        freqs = np.arange(-3, TOTAL + 4)
+        want = [math.log2(TOTAL) - math.log2(f) if 0 < f <= TOTAL else math.inf
+                for f in freqs.tolist()]
+        assert entropy._costs(freqs).tolist() == want
+
     def test_model_bits_close_to_float_cross_entropy(self):
         cw, values, l_t, vmin, vmax = _subband_setup(21, shape=(16, 16))
         weights = random_ctx_weights(21)

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwv3.entropy import MAX_ALPHABET
-from iwv3.rangecoder import TOTAL, RangeDecoder, RangeEncoder, RangeError, SymbolTable
+from iwv3.rangecoder import _BLOCK, TOTAL, RangeDecoder, RangeEncoder, RangeError, SymbolTable
 
 
 def encode_all(symbols, cum):
@@ -232,24 +233,65 @@ class TestRuns:
         # so they join the pending run; the top symbol then carries into it.
         table = [0, 1, TOTAL // 2, TOTAL - 2, TOTAL - 1, TOTAL]
         symbols = [3, 3, 3, 4]
-        rc = RangeEncoder()
+        ref = _ReferenceEncoder()
         carried = 0
         for s in symbols:
-            pending, start = rc._pending, len(rc._out)
-            rc.encode(table[s], table[s + 1] - table[s])
-            flushed = rc._out[start + 1 : start + 1 + pending]
-            if pending >= 3 and rc._pending == 0 and flushed == bytes(pending):
+            pending, start = ref.pending, len(ref.out)
+            ref.encode(table[s], table[s + 1] - table[s])
+            flushed = ref.out[start + 1 : start + 1 + pending]
+            if pending >= 3 and ref.pending == 0 and flushed == bytes(pending):
                 carried = pending  # the pending 0xFF bytes came out as 0x00
         assert carried >= 3
-        payload = rc.finish()
+        payload = ref.finish()
+        single = RangeEncoder()
+        for s in symbols:
+            single.encode(table[s], table[s + 1] - table[s])
+        assert single.finish() == payload
         runs = RangeEncoder()
         runs.encode_run([table[s] for s in symbols],
                         [table[s + 1] - table[s] for s in symbols])
         assert runs.finish() == payload
-        ref = _ReferenceEncoder()
-        for s in symbols:
+        assert RangeDecoder(payload).decode_run(table, len(symbols)) == symbols
+
+    @pytest.mark.parametrize("start", [0, _BLOCK - 500])
+    def test_carry_through_a_thousand_pending_bytes(self, start):
+        # From `start` on, each symbol's interval holds the byte boundary
+        # that low would carry across, so every byte shifted out is a
+        # pending 0xFF; once 1000 are pending, the next symbol lies above
+        # the boundary and carries through all of them.  From _BLOCK - 500
+        # the run spans a block boundary, so the carry reaches bytes an
+        # earlier block wrote.
+        table = _table([1] * 256)
+        rng = np.random.default_rng(6)
+        ref, symbols, carried = _ReferenceEncoder(), [], 0
+        while not carried:
+            s = int(rng.integers(0, 256))
+            if len(symbols) >= start:
+                # 2^32 once the interval holds it; before, the last multiple
+                # of 2^24 inside it, which is 2^32 after the next shift
+                top = ref.low + ref.range
+                point = (1 << 32 if top > 1 << 32 else (top - 1) >> 24 << 24) - ref.low
+                r = ref.range >> 16
+                s = bisect_right(table, (point - 1) // r, 0, 256) - 1
+                assert r * table[s] < point < r * table[s + 1]
+                if ref.pending >= 1000 and s < 255:
+                    s, carried = s + 1, ref.pending
             ref.encode(table[s], table[s + 1] - table[s])
-        assert ref.finish() == payload
+            symbols.append(s)
+        symbols += rng.integers(0, 256, 100).tolist()
+        for s in symbols[-100:]:
+            ref.encode(table[s], table[s + 1] - table[s])
+        payload = ref.finish()
+        assert bytes(carried) in payload
+        cums = [table[s] for s in symbols]
+        freqs = [table[s + 1] - table[s] for s in symbols]
+        rc = RangeEncoder()
+        rc.encode_run(cums, freqs)
+        assert rc.finish() == payload
+        rc = RangeEncoder()
+        for part in _runs(list(range(len(symbols))), [start + 7, _BLOCK - 1, len(symbols) - 50]):
+            rc.encode_run([cums[j] for j in part], [freqs[j] for j in part])
+        assert rc.finish() == payload
         assert RangeDecoder(payload).decode_run(table, len(symbols)) == symbols
 
     @settings(max_examples=150, deadline=None)
@@ -311,6 +353,67 @@ class TestRuns:
         for s in good:
             ref.encode(table[s], table[s + 1] - table[s])
         assert rc.finish() == ref.finish()
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_runs_around_a_block_boundary(self, n):
+        table = _table([40000, 900, 30, 7, 1, 1, 3000, 200])
+        rng = np.random.default_rng(n)
+        symbols = rng.choice(8, n, p=np.diff(table) / TOTAL).tolist()
+        cums = np.array([table[s] for s in symbols])
+        freqs = np.array([table[s + 1] - table[s] for s in symbols])
+        ref = _ReferenceEncoder()
+        for cum, freq in zip(cums.tolist(), freqs.tolist()):
+            ref.encode(cum, freq)
+        payload = ref.finish()
+        whole = RangeEncoder()
+        whole.encode_run(cums, freqs)
+        assert whole.finish() == payload
+        # a held prefix, then a run that ends at, one short of or one past
+        # the first block's end
+        split = RangeEncoder()
+        split.encode_run(cums[:1000], freqs[:1000])
+        split.encode_run(cums[1000:], freqs[1000:])
+        assert split.finish() == payload
+        assert RangeDecoder(payload).decode_run(table, n) == symbols
+
+    @pytest.mark.parametrize("bad", [500, _BLOCK - 1, _BLOCK + 500])
+    def test_error_mid_block_keeps_the_valid_prefix(self, bad):
+        table = _table([1000, 20000, 5, 44000])
+        rng = np.random.default_rng(bad)
+        symbols = rng.integers(0, 4, _BLOCK + 1000)
+        cums = np.array(table)[symbols]
+        freqs = np.diff(table)[symbols]
+        cums[bad] = TOTAL - 1
+        freqs[bad] = 2
+        rc = RangeEncoder()
+        rc.encode_run(cums[:300], freqs[:300])
+        with pytest.raises(RangeError, match=r"symbol interval \[65535, 65537\) outside"):
+            rc.encode_run(cums[300:], freqs[300:])
+        ref = _ReferenceEncoder()
+        for cum, freq in zip(cums[:bad].tolist(), freqs[:bad].tolist()):
+            ref.encode(cum, freq)
+        assert rc.finish() == ref.finish()
+
+    def test_held_memory_stays_below_two_bytes_per_symbol(self):
+        # The encoder holds the bytes it has written and at most one block
+        # of intervals, however many symbols it has been given.
+        n = 1 << 20
+        table = _table([60000, 5000, 500, 36])
+        rng = np.random.default_rng(8)
+        symbols = rng.choice(4, n, p=np.diff(table) / TOTAL)
+        cums, freqs = np.array(table)[symbols], np.diff(table)[symbols]
+        tracemalloc.start()
+        try:
+            rc = RangeEncoder()
+            before = tracemalloc.get_traced_memory()[0]
+            for start in range(0, n, 5000):
+                rc.encode_run(cums[start:start + 5000], freqs[start:start + 5000])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * n
+        payload = rc.finish()
+        assert RangeDecoder(payload).decode_run(table, n) == symbols.tolist()
 
 
 def _per_symbol(dec, tables):
