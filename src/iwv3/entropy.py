@@ -14,9 +14,9 @@ one batch holds the wavefront of all three channels, laid out (row,
 channel); each channel keeps its own long-term context and range coder.
 The decoder regenerates contexts from its own output, so both sides run the
 identical per-wavefront context-net arithmetic and stay symbol-exact.  A
-context net whose head weights are zero (the built-in lossless model) is a
-static prior: its subbands are coded against one table, and the net never
-runs.
+context net whose head's last weights are zero (the built-in lossless
+model) is a static prior: its subbands are coded against one table, and the
+net never runs.
 """
 
 from __future__ import annotations
@@ -272,10 +272,11 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
     rolling-buffer order, one matrix per slot t mod _SLOTS: rows indexed by
     (part, wavefront slot, input channel), then the bias row.  The L_t and
     head layers are plain float64 arrays under their part names ("l1.w",
-    ..., "h2.b").  "static" is True when both head weights h1.w and h2.w are
-    all zero: the head then outputs h2.b at every position, whatever the S_t
-    and L_t branches feed it, and SubbandCodec codes the subband with one
-    table, built from the mixture (w, u, sigma) of h2.b under "prior".
+    ..., "h2.b").  "static" is True when the head's last weights h2.w are
+    all zero: the head then outputs h2.b wherever the features it multiplies
+    are finite, whatever the S_t and L_t branches feed it, and SubbandCodec
+    codes the subband with one table, built from the mixture (w, u, sigma)
+    of h2.b under "prior".
     """
     p = ctx_prefix(kind)
     cw = {}
@@ -296,7 +297,7 @@ def extract_context_arrays(weights: ModelWeights, kind: str) -> dict:
     bias2 = np.broadcast_to(weights[f"{p}.s2.b"], (_SLOTS, 1, c))
     cw["s1.taps"] = np.concatenate([taps1.reshape(_SLOTS, -1, c), bias1], axis=1)
     cw["s2.taps"] = np.concatenate([taps2.reshape(_SLOTS, -1, c), bias2], axis=1)
-    cw["static"] = not (cw["h1.w"].any() or cw["h2.w"].any())
+    cw["static"] = not cw["h2.w"].any()
     if cw["static"]:
         with np.errstate(over="ignore"):
             cw["prior"] = _mixture(cw["h2.b"].astype(np.float64)[None])
@@ -392,14 +393,14 @@ class SubbandCodec:
     order on both sides; that is what guarantees symbol-exact
     synchronization.
 
-    Static prior: when the head weights are zero (cw["static"], as in the
-    built-in lossless model), the head's products sum to zero and its
-    output is h2.b at every position, so every position has the one
-    mixture and the one CDF table.  The codec then builds that table once,
-    skips the context net and the L_t branch (l_t may be None), and codes
-    each channel's symbols in the same wavefront order as one range-coder
-    run: the same symbols, bytes and model bits as the context net gives
-    whenever its activations are finite.
+    Static prior: when the head's last weights h2.w are zero (cw["static"],
+    as in the built-in lossless model and in fresh `init_weights`), the
+    head's last product is zero and its output is h2.b at every position, so
+    every position has the one mixture and the one CDF table.  The codec
+    then builds that table once, skips the context net and the L_t branch
+    (l_t may be None), and codes each channel's symbols in the same
+    wavefront order as one range-coder run: the same symbols, bytes and
+    model bits as the context net gives whenever its activations are finite.
     """
 
     def __init__(self, cw: dict, l_t: np.ndarray | None, qstep: float,
@@ -773,22 +774,20 @@ def encode_image(qpyramids, quantgrid, weights: ModelWeights, mode: str,
         raise ValueError("bitstream requires channel-uniform qsteps")
     levels = qpyramids[0].levels
     order = coding_order(levels)
-    if mode == "lossless":
-        for level, kind in order:
-            if quantgrid.qstep(0, level, kind) != 1.0:
-                raise ValueError("lossless mode forces qstep = 1")
     model = models.prepare(weights)
 
     info = []
     for level, kind in order:
-        qstep = float(np.float32(quantgrid.qstep(0, level, kind)))
+        qstep = quantgrid.qstep(0, level, kind)
+        if mode == "lossless" and qstep != 1.0:
+            raise ValueError("lossless mode forces qstep = 1")
         vmin = min(int(p.get(level, kind).min()) for p in qpyramids)
         vmax = max(int(p.get(level, kind).max()) for p in qpyramids)
         if vmax - vmin + 1 > MAX_ALPHABET:
             raise ValueError(
                 f"the model cannot code this image: subband {kind} of level {level} "
                 f"spans {vmax - vmin + 1} coefficient values (at most {MAX_ALPHABET})")
-        info.append((qstep, vmin, vmax))
+        info.append((float(np.float32(qstep)), vmin, vmax))
     tw, th = true_size
     bs = Bitstream(mode, levels, tw, th, model.checksum, info, [])
     rcs = [RangeEncoder() for _ in qpyramids]

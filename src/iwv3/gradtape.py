@@ -655,8 +655,6 @@ def load_weights(data: bytes) -> ModelWeights:
         values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
         if not np.isfinite(values).all():
             raise ValueError(f"non-finite value in tensor {name!r}")
-        if name in weights:
-            raise ValueError(f"duplicate name {name!r}")
         weights.add(name, values)
     return weights
 

@@ -89,7 +89,8 @@ def init_weights(mode: str, levels: int, seed: int = 0,
     zero, so the initial transform is the plain polyphase split and the
     initial dequant filter is the identity.  Context nets start at the
     static sigma-ladder mixture so every coefficient magnitude keeps a
-    usable likelihood (and gradient) from the first step.
+    usable likelihood (and gradient) from the first step; their h2.w is
+    zero, so until trained the codec codes them with that one static table.
     """
     rng = np.random.default_rng(seed)
     weights = ModelWeights()
@@ -113,9 +114,9 @@ def default_weights() -> ModelWeights:
 
     All convolutions are zero; the output bias encodes a three-sigma ladder
     so the static prior puts usable mass on small, medium, and large
-    coefficients.  With the head (h1.w, h2.w) zero, `entropy.SubbandCodec`
-    codes every subband against the one table of that prior, without
-    evaluating the context net.
+    coefficients.  With the head's last weights h2.w zero,
+    `entropy.SubbandCodec` codes every subband against the one table of that
+    prior, without evaluating the context net.
     """
     weights = ModelWeights()
     for kind in SUBBAND_KINDS:

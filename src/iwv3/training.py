@@ -368,39 +368,23 @@ def run_training(cfg: TrainConfig, images_rgb, log_fn=None, snapshots=None):
                                   steps=cfg.steps, dq=cfg.dq_net(),
                                   init_qstep=cfg.init_qstep)
     history = []
-    step_no = 0
-
-    def record(stage, alpha, report):
-        nonlocal step_no
-        step_no += 1
-        history.append((stage, step_no, alpha, report))
-        if log_fn is not None:
-            log_fn(step_no, alpha, report)
-
-    def snap(tag):
+    counts = (cfg.stage1_steps, cfg.stage2_steps, cfg.stage3_steps)
+    step_fns = (lambda batch, opt, _: pretrain_step(batch, weights, cfg, opt),
+                lambda batch, opt, alpha: e2e_soft_step(batch, weights, cfg, opt, alpha, rng),
+                lambda batch, opt, _: hard_finetune_step(batch, weights, cfg, opt, rng))
+    if snapshots is not None:
+        snapshots["init"] = weights.copy()
+    for stage, (n_steps, step_fn) in enumerate(zip(counts, step_fns), 1):
+        opt = SgdMomentum(cfg.momentum)
+        for step in range(n_steps):
+            # only stage 2 anneals its soft rounding
+            alpha = anneal_alpha(step, max(n_steps - 1, 1)) if stage == 2 else 0.0
+            report = step_fn(_sample_batch(crops, cfg, rng), opt, alpha)
+            history.append((stage, len(history) + 1, alpha, report))
+            if log_fn is not None:
+                log_fn(len(history), alpha, report)
         if snapshots is not None:
-            snapshots[tag] = weights.copy()
-
-    snap("init")
-    opt = SgdMomentum(cfg.momentum)
-    for _ in range(cfg.stage1_steps):
-        batch = _sample_batch(crops, cfg, rng)
-        record(1, 0.0, pretrain_step(batch, weights, cfg, opt))
-    snap("stage1")
-
-    opt = SgdMomentum(cfg.momentum)
-    for step in range(cfg.stage2_steps):
-        alpha = anneal_alpha(step, max(cfg.stage2_steps - 1, 1))
-        batch = _sample_batch(crops, cfg, rng)
-        record(2, alpha, e2e_soft_step(batch, weights, cfg, opt, alpha, rng))
-    snap("stage2")
-
-    opt = SgdMomentum(cfg.momentum)
-    for _ in range(cfg.stage3_steps):
-        batch = _sample_batch(crops, cfg, rng)
-        record(3, 0.0, hard_finetune_step(batch, weights, cfg, opt, rng))
-    snap("stage3")
-
+            snapshots[f"stage{stage}"] = weights.copy()
     return weights, history
 
 

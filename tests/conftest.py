@@ -44,6 +44,18 @@ def perturbed_lossy_weights(mode, levels, seed, scale=0.02, init_qstep=16.0,
     return weights
 
 
+def active_head_weights(levels):
+    """Lossless weights whose every context head's last layer is N(0, 0.05)
+    noise, so each table depends on the context net's matrix products (fresh
+    weights have a zero h2.w, which the codec codes as the static prior)."""
+    weights = models.init_weights("lossless", levels, seed=7)
+    rng = np.random.default_rng(7)
+    for name in weights.names():
+        if name.startswith("ctx.") and name.endswith(".h2.w"):
+            weights.set(name, rng.normal(0, 0.05, weights[name].shape))
+    return weights
+
+
 @pytest.fixture(scope="session")
 def photos():
     return [natural_photo(88, 120, s) for s in range(5)]

@@ -23,7 +23,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 from iwv3 import models, pipeline
 from iwv3.gradtape import load_weights, save_weights
 
-from conftest import natural_photo, perturbed_lossy_weights
+from conftest import active_head_weights, natural_photo, perturbed_lossy_weights
 
 pytestmark = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
@@ -74,17 +74,6 @@ ENVIRONMENTS = {
 }
 
 
-def _active_head_weights():
-    """Lossless weights whose every context head's last layer is N(0, 0.05)
-    noise, so each table depends on the context net's matrix products."""
-    weights = models.init_weights("lossless", 3, seed=7)
-    rng = np.random.default_rng(7)
-    for name in weights.names():
-        if name.startswith("ctx.") and name.endswith(".h2.w"):
-            weights.set(name, rng.normal(0, 0.05, weights[name].shape))
-    return weights
-
-
 @pytest.fixture(scope="module")
 def streams(tmp_path_factory):
     """Encoded cases on disk, with this process's decode digest of each.
@@ -96,7 +85,7 @@ def streams(tmp_path_factory):
     rgb = natural_photo(40, 56, 8)
     cases = {
         "lossless": ("lossless", None),
-        "active-head": ("lossless", _active_head_weights()),
+        "active-head": ("lossless", active_head_weights(3)),
         "additive": ("additive", perturbed_lossy_weights("additive", 2, seed=5)),
         "affine": ("affine", perturbed_lossy_weights("affine", 2, seed=5)),
     }

@@ -12,7 +12,7 @@ from iwv3.entropy import Bitstream, coding_order
 from iwv3.gradtape import ModelWeights, save_weights
 from iwv3.imageio import read_ppm, write_ppm
 
-from conftest import natural_photo, perturbed_lossy_weights
+from conftest import active_head_weights, natural_photo, perturbed_lossy_weights
 
 
 @pytest.fixture()
@@ -321,7 +321,7 @@ class TestInspect:
         # needs more memory than the limit allows: the weights' context
         # heads are active, so the codec runs it.
         wpath = workdir / "ctx.iwtw"
-        wpath.write_bytes(save_weights(models.init_weights("lossless", 1, seed=7)))
+        wpath.write_bytes(save_weights(active_head_weights(1)))
         stream = self._forge_2048_stream(workdir, "--weights", str(wpath))
         proc = _decode_in_subprocess(stream, workdir / "b.ppm", 1_500_000 * 1024,
                                      "--weights", str(wpath))
@@ -338,7 +338,7 @@ class TestInspect:
         rng = np.random.default_rng(3)
         _write_image(src, rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8))
         wpath = workdir / "ctx.iwtw"
-        wpath.write_bytes(save_weights(models.init_weights("lossless", 1, seed=7)))
+        wpath.write_bytes(save_weights(active_head_weights(1)))
         out = workdir / "s.iwv3"
         proc = _encode_in_subprocess(src, out, "--levels", "1", "--weights", wpath,
                                      address_space=1_500_000 * 1024)

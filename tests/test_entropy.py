@@ -636,11 +636,11 @@ class TestSubbandCodecStaticPath(SubbandPathChecks):
     make_weights = staticmethod(builtin_ctx_weights)
 
 
-def _zero_head_weights(seed):
-    """Random context weights whose head (h1.w, h2.w) is zero for every kind."""
+def _zero_head_weights(seed, parts=("h1", "h2")):
+    """Random context weights whose head weights `parts` are zero for every kind."""
     weights = random_ctx_weights(seed)
     for kind in SUBBAND_KINDS:
-        for part in ("h1", "h2"):
+        for part in parts:
             name = f"{ctx_prefix(kind)}.{part}.w"
             weights.set(name, np.zeros_like(weights.get(name)))
     return weights
@@ -651,15 +651,18 @@ class TestStaticPrior:
         weights = models.default_weights()
         assert all(extract_context_arrays(weights, kind)["static"] for kind in SUBBAND_KINDS)
 
-    @pytest.mark.parametrize("part", ["h1", "h2"])
-    def test_one_head_weight_sends_only_its_kind_to_the_wavefronts(self, part, monkeypatch):
+    # h2.w alone decides: under a zero h2.w the head's output is h2.b
+    # whatever h1.w is, so an h1.w weight leaves every kind static
+    @pytest.mark.parametrize("part, active", [("h1", []), ("h2", ["LH"])], ids=["h1", "h2"])
+    def test_one_head_weight_sends_only_its_kind_to_the_wavefronts(self, part, active,
+                                                                    monkeypatch):
         weights = models.default_weights()
         name = f"{ctx_prefix('LH')}.{part}.w"
         arr = weights.get(name).copy()
         arr[1, 2, 0, 0] = 0.25
         weights.set(name, arr)
         assert [k for k in SUBBAND_KINDS
-                if not extract_context_arrays(weights, k)["static"]] == ["LH"]
+                if not extract_context_arrays(weights, k)["static"]] == active
         paths = []
         for method in ("_run_static", "_run_wavefronts"):
             def spy(codec, *args, _run=getattr(SubbandCodec, method), _name=method):
@@ -670,17 +673,30 @@ class TestStaticPrior:
         bs = encode_image(pyrs, QuantGrid.uniform(1, 1.0), weights, "lossless", (16, 16))
         _, out = decode_image(bs.pack(), weights)
         # coding order LL, HL, LH, HH, once to encode and once to decode
-        assert paths == ["_run_static", "_run_static", "_run_wavefronts", "_run_static"] * 2
+        assert paths == [("_run_wavefronts" if kind in active else "_run_static")
+                         for kind in ("LL", "HL", "LH", "HH")] * 2
         for orig, dec in zip(pyrs, out):
             assert np.array_equal(orig.get(1, "LH"), dec.get(1, "LH"))
 
-    @pytest.mark.parametrize("shape, spread", [((9, 13), 6), ((1, 7), 3), ((6, 5), 500)])
-    def test_zero_head_over_active_branches_codes_as_the_wavefronts_do(self, shape, spread):
+    # the h2-only cases keep a random h1.w: a zero h2.w alone makes a kind static
+    @pytest.mark.parametrize("parts, shape, spread", [
+        pytest.param(("h1", "h2"), (9, 13), 6, id="shape0-6"),
+        pytest.param(("h1", "h2"), (1, 7), 3, id="shape1-3"),
+        pytest.param(("h1", "h2"), (6, 5), 500, id="shape2-500"),
+        pytest.param(("h2",), (9, 13), 6, id="h2-only-shape0-6"),
+        pytest.param(("h2",), (1, 7), 3, id="h2-only-shape1-3"),
+        pytest.param(("h2",), (6, 5), 500, id="h2-only-shape2-500"),
+    ])
+    def test_zero_head_over_active_branches_codes_as_the_wavefronts_do(self, parts, shape,
+                                                                        spread):
+        def make_weights(seed):
+            return _zero_head_weights(seed, parts)
+
         cw, values, l_t, vmin, vmax = _subband_setup(71, shape=shape, spread=spread,
-                                                     make_weights=_zero_head_weights)
+                                                     make_weights=make_weights)
         assert cw["static"]
         payload, bits = encode_subband(values, cw, l_t, 1.5, vmin, vmax)
-        ref = _full_grid_bits(_zero_head_weights(71), "HL", values, l_t, 1.5, vmin, vmax)
+        ref = _full_grid_bits(make_weights(71), "HL", values, l_t, 1.5, vmin, vmax)
         assert bits == pytest.approx(ref, rel=1e-9)
         # the context net over the same weights gives the same bytes and bits
         wavefront = dict(cw, static=False)

@@ -1,4 +1,5 @@
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -638,6 +639,10 @@ class TestWeightsFile:
         w.add("x", np.ones(2))
         with pytest.raises(ValueError, match="duplicate"):
             w.add("x", np.ones(2))
+        # a file that names a tensor twice: load_weights adds each in turn
+        data = save_weights(w)
+        with pytest.raises(ValueError, match="duplicate name 'x'"):
+            load_weights(data[:5] + struct.pack("<I", 2) + data[9:] * 2)
 
 
 class TestWeightsStore:
