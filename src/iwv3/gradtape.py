@@ -45,11 +45,41 @@ so the backward holds a kh*kw-fold copy of one image's narrower side, not of
 the batch's.  A conv computes only the gradients its parents can take: none
 for an input off the tape (a constant context or reconstruction) or for a
 leaf that does not require one (online optimization's constant weights).
+
+A training batch's images are independent, so they run on a thread pool
+with one worker per usable CPU (`os.sched_getaffinity`), made on first use.
+The forward builds and multiplies each image's window on its own, into that
+image's rows of the output, when N > 1, the kernel is more than one column
+wide and each image has at least 1024 positions at a multiple of 64.  Every
+row keeps its bits: an image's window matrix is a row band of the batch's,
+multiplied by the same weight matrix, and such bands equalled the batch
+product in every case tried (each 3x3 layer of the additive and affine
+models at 32x32 to 64x64 planes, under OpenBLAS's SkylakeX, Haswell and
+Sandybridge kernels).  The 1024-row floor keeps a margin above the small
+sizes at which OpenBLAS may take other code paths.  A kernel one column
+wide is never split: one image's 1x1 window is the strided view tensordot
+passes, not a row band of the batch's copy, and a 16->1 conv's product on
+it differs (a kh x 1 kernel on a one-row plane gives such a view too).
+Every other conv, the codec's included (N = 1), is the one product above
+and never starts the pool.  The backward runs its per-image loop on the
+pool and adds the images' dw parts in image order afterwards, as the loop
+did.  Each task runs in a copy of the caller's contextvars context, where
+numpy keeps its errstate, and calls nothing the benchmark's tracer wraps.
+Each worker runs its products on one BLAS thread (OpenBLAS's
+`openblas_set_num_threads_local`); where that call is missing, or on one
+CPU, there is no pool and the images run in turn.  On a 2-CPU machine this
+takes a quarter off the benchmark's training steps and moves no bit.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import glob
+import os
 import struct
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,6 +379,58 @@ def slice_channels(a, lo: int, hi: int) -> Tensor:
 # Convolution (stride 1, zero padding preserving H x W, odd kernels)
 # ---------------------------------------------------------------------------
 
+# A batch's forward product splits into one product per image when each
+# image's window has at least this many rows, at a multiple of this many.
+_SPLIT_ROWS = 1024
+_SPLIT_ALIGN = 64
+
+
+def _blas_threads_local():
+    """OpenBLAS's setter of the calling thread's BLAS thread count, from
+    the library numpy bundles, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@functools.cache
+def _image_pool():
+    """The thread pool that runs a batch's images, one worker per usable
+    CPU, each running its products on one BLAS thread; None (images run in
+    turn) on one CPU or where that thread count cannot be set."""
+    setter = _blas_threads_local()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if setter is None or cpus < 2:
+        return None
+    return futures.ThreadPoolExecutor(cpus, thread_name_prefix="iwv3-image",
+                                      initializer=setter, initargs=(1,))
+
+
+def _splits(n, positions, kernel):
+    """Whether a conv of n images of `positions` samples each, with a
+    (kh, kw) kernel, builds and multiplies each image's window on its own.
+    A kernel more than one column wide makes one image's window, like the
+    batch's, a copy; a one-column kernel may leave it a strided view."""
+    return (n > 1 and kernel[1] > 1 and positions >= _SPLIT_ROWS
+            and positions % _SPLIT_ALIGN == 0)
+
+
+def _each_image(pool, fn, n):
+    """[fn(i) for i in range(n)], on the pool when there is one.  Each task
+    runs in a copy of the caller's context, where numpy keeps its errstate."""
+    if pool is None:
+        return [fn(i) for i in range(n)]
+    tasks = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
+    futures.wait(tasks)
+    return [t.result() for t in tasks]
+
+
 def _window_matrix(x, kh, kw):
     """The (N*H*W, C*kh*kw) window matrix of x, zero-padded to keep H x W."""
     n, c, h, wd = x.shape
@@ -375,20 +457,40 @@ def _window_matrix(x, kh, kw):
         return a
 
 
+def _product_into(out, a, w, b):
+    """Write the product of window matrix `a` with w, plus b, into the
+    (N, O, H, W) array `out`."""
+    n, o, h, wd = out.shape
+    res = np.dot(a, w.transpose(1, 2, 3, 0).reshape(a.shape[1], o))
+    out[...] = res.reshape(n, h, wd, o).transpose(0, 3, 1, 2)
+    if b is not None:
+        out += b[None, :, None, None]
+
+
 def _conv2d_heads_raw(x, heads):
     """[_conv2d_raw(x, w, b) for w, b in heads] from one window matrix: the
-    heads share a kernel size, and each runs the product a lone conv would."""
+    heads share a kernel size, and each runs the product a lone conv would.
+    When `_splits` holds, each image's window is built and multiplied on
+    the pool instead, into the same rows of the outputs."""
     n, _, h, wd = x.shape
-    a = _window_matrix(x, *heads[0][0].shape[2:])
-    outs = []
-    for w, b in heads:
-        o = w.shape[0]
-        out = np.empty((n, o, h, wd))
-        res = np.dot(a, w.transpose(1, 2, 3, 0).reshape(a.shape[1], o))
-        out[...] = res.reshape(n, h, wd, o).transpose(0, 3, 1, 2)
-        if b is not None:
-            out += b[None, :, None, None]
-        outs.append(out)
+    kh, kw = heads[0][0].shape[2:]
+    pool = _image_pool() if _splits(n, h * wd, (kh, kw)) else None
+    if pool is None:
+        a = _window_matrix(x, kh, kw)
+        outs = []
+        for w, b in heads:
+            out = np.empty((n, w.shape[0], h, wd))
+            _product_into(out, a, w, b)
+            outs.append(out)
+        return outs
+    outs = [np.empty((n, w.shape[0], h, wd)) for w, _ in heads]
+
+    def image(i):
+        a = _window_matrix(x[i:i + 1], kh, kw)
+        for (w, b), out in zip(heads, outs):
+            _product_into(out[i:i + 1], a, w, b)
+
+    _each_image(pool, image, n)
     return outs
 
 
@@ -503,14 +605,17 @@ def _conv2d_back(x, w, g, want_dx, want_dw):
         wmat = wf.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
         dw = np.zeros((o, kh * kw * c)) if want_dw else None
     dx = np.empty((n, c, h, wd)) if want_dx else None
-    for i in range(n):
+
+    def image(i):
+        """Image i's part of dw (None if not wanted); writes its dx."""
+        part = None
         gp = _padded(g[i], ph, pw)
         if stack_g:
             # dw, flipped, is taps(g)·x, where x's zero columns cancel the
             # positions that straddle two rows, and dx = W·taps(g).
             tg = _taps(gp, kh, kw, pitch, m)
             if want_dw:
-                dw += np.dot(tg, _padded(x[i], ph, pw)[:, centre:centre + m].T)
+                part = np.dot(tg, _padded(x[i], ph, pw)[:, centre:centre + m].T)
             if want_dx:
                 dxi = np.dot(wmat, tg)
         else:
@@ -518,7 +623,7 @@ def _conv2d_back(x, w, g, want_dx, want_dw):
             # positions, and dx sums the kh*kw shifted slices of W·g.
             if want_dw:
                 tx = _taps(_padded(x[i], ph, pw), kh, kw, pitch, m)
-                dw += np.dot(gp[:, centre:centre + m], tx.T)
+                part = np.dot(gp[:, centre:centre + m], tx.T)
             if want_dx:
                 wg = np.dot(wmat, gp).reshape(kh * kw, c, -1)
                 dxi = wg[0, :, :m].copy()
@@ -527,7 +632,12 @@ def _conv2d_back(x, w, g, want_dx, want_dw):
                     dxi += wg[t, :, off:off + m]
         if want_dx:
             dx[i] = dxi.reshape(c, h, pitch)[:, :, :wd]
+        return part
+
+    parts = _each_image(_image_pool() if n > 1 else None, image, n)
     if want_dw:
+        for part in parts:
+            dw += part
         if stack_g:
             dw = dw.reshape(kh, kw, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
         else:

@@ -29,12 +29,9 @@ pytestmark = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64"),
     reason="the forced kernels are x86-64 ones")
 
-_DECODE = """
-import ctypes, glob, hashlib, json, os, sys
+_BLAS_CORE = """
+import ctypes, glob, json, os, sys
 import numpy as np
-from numpy._core._multiarray_umath import __cpu_features__
-from iwv3 import models, pipeline
-from iwv3.gradtape import load_weights
 
 def blas_core():
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
@@ -47,6 +44,13 @@ def blas_core():
                 corename.restype = ctypes.c_char_p
                 return corename().decode()
     return None
+"""
+
+_DECODE = _BLAS_CORE + """
+import hashlib
+from numpy._core._multiarray_umath import __cpu_features__
+from iwv3 import models, pipeline
+from iwv3.gradtape import load_weights
 
 folder = sys.argv[1]
 with open(os.path.join(folder, "cases.json")) as f:
@@ -62,6 +66,16 @@ for name, weights_file in cases.items():
         rgb = pipeline.decode_bytes(f.read(), weights)
     digests[name] = hashlib.sha256(rgb.tobytes()).hexdigest()
 print(json.dumps({"core": blas_core(), "features": __cpu_features__, "digests": digests}))
+"""
+
+# The forward split's bit test of tests/test_gradtape.py, rerun.
+_SPLIT = _BLAS_CORE + """
+from iwv3 import gradtape
+from test_gradtape import split_cases, split_conv_mismatches
+
+print(json.dumps({"core": blas_core(), "pool": gradtape._image_pool() is not None,
+                  "mismatches": {case: split_conv_mismatches(names)
+                                 for case, names in split_cases().items()}}))
 """
 
 AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
@@ -130,3 +144,26 @@ def test_decodes_identically_under_other_kernels(name, streams):
     assert not any(got["features"].get(f) for f in overrides.get(
         "NPY_DISABLE_CPU_FEATURES", "").split())
     assert got["digests"] == want
+
+
+@pytest.mark.parametrize("name", ["openblas-haswell", "openblas-sandybridge"])
+def test_image_split_keeps_the_batch_bits_under_other_kernels(name):
+    # Each image's product must give the rows of the batch's product on
+    # every kernel, not only on the one this host picks.
+    overrides, needed = ENVIRONMENTS[name]
+    missing = [f for f in needed if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")).lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **overrides)
+    proc = subprocess.run([sys.executable, "-c", _SPLIT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    if got["core"] not in (None, overrides["OPENBLAS_CORETYPE"]):
+        pytest.skip(f"OpenBLAS ran its {got['core']} kernels, not {overrides['OPENBLAS_CORETYPE']}")
+    if not got["pool"]:
+        pytest.skip("no image pool: every conv is one product")
+    assert got["mismatches"] == {case: [] for case in got["mismatches"]}

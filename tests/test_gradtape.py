@@ -1,5 +1,7 @@
 import itertools
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from iwv3 import gradtape as gt
+from iwv3 import models
 from iwv3.gradtape import (
     ModelWeights,
     PUNet,
@@ -326,6 +329,162 @@ def _conv_grads(build, x, params, gs):
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# N = 4 planes whose images the forward builds and multiplies one by one,
+# and planes below the split's 1024-position floor.
+SPLIT_PLANES = ((64, 64), (64, 32), (32, 32))
+WHOLE_PLANES = ((32, 16), (16, 16))
+
+
+def split_cases():
+    """{case id: weight names}: one case per layer of the additive and
+    affine models' 3x3 convs (P/U nets, post-filter, context s1/s2/l1/l2),
+    where each affine net's hs and hr heads are one conv2d_heads case."""
+    cases = {}
+    for mode in ("additive", "affine"):
+        for name in models.all_weight_shapes(mode, 2):
+            family, *path, layer, kind = name.split(".")
+            if kind != "w" or layer in ("h1", "h2"):
+                continue  # biases and the context heads' 1x1 convs
+            if layer in ("hs", "hr"):
+                layer = "hs+hr"
+                names = [f"{family}.{'.'.join(path)}.{head}.w" for head in ("hs", "hr")]
+            else:
+                names = [name]
+            cases.setdefault(f"{family}.{layer}", names)
+    return cases
+
+
+def split_conv_mismatches(names, seed=0):
+    """The (plane, layout) pairs at which a 4-image conv2d (conv2d_heads for
+    several weights) of the named weight shapes differs from the window
+    contraction, over SPLIT_PLANES and WHOLE_PLANES."""
+    shapes = {**models.all_weight_shapes("additive", 2),
+              **models.all_weight_shapes("affine", 2)}
+    rng = np.random.default_rng(seed)
+    heads = [(rng.normal(size=shapes[n]), rng.normal(size=shapes[n][0])) for n in names]
+    bad = []
+    for plane in SPLIT_PLANES + WHOLE_PLANES:
+        for at, x in enumerate(_layouts(rng.normal(size=(4, shapes[names[0]][1]) + plane))):
+            outs = gt.conv2d_heads(Tensor(x), [(Tensor(w), Tensor(b)) for w, b in heads])
+            if not all(np.array_equal(out.data, _window_conv(x, w, b))
+                       for out, (w, b) in zip(outs, heads)):
+                bad.append([list(plane), at])
+    return bad
+
+
+class TestImageSplit:
+    """A batch's images run one by one on the pool, with the batch's bits."""
+
+    @pytest.mark.parametrize("case", sorted(split_cases()))
+    def test_split_forward_is_the_window_contraction(self, case):
+        # P/U nets, affine heads, post-filter and context s1/s2/l1/l2, at
+        # planes that split and planes that do not, in every layout.
+        assert split_conv_mismatches(split_cases()[case]) == []
+
+    @pytest.mark.parametrize("plane,images", [((32, 32), [1, 1, 1, 1]),
+                                              ((64, 32), [1, 1, 1, 1]),
+                                              ((32, 16), [4]),
+                                              ((16, 16), [4])])
+    def test_windows_are_per_image_only_above_the_floor(self, plane, images,
+                                                        monkeypatch):
+        # The 1024-row floor keeps a margin above the sizes at which OpenBLAS
+        # may take other code paths: a batch of 32x16 images (512 rows each)
+        # stays one window and one product.
+        if gt._image_pool() is None:
+            pytest.skip("no pool here: every conv is one product")
+        built = []
+
+        def counted(x, kh, kw, _build=gt._window_matrix):
+            built.append(x.shape[0])
+            return _build(x, kh, kw)
+
+        monkeypatch.setattr(gt, "_window_matrix", counted)
+        rng = np.random.default_rng(8)
+        gt.conv2d(Tensor(rng.normal(size=(4, 16) + plane)),
+                  Tensor(rng.normal(size=(16, 16, 3, 3))))
+        assert built == images
+
+    def test_split_rule(self):
+        assert all(gt._splits(4, h * w, (3, 3)) for h, w in SPLIT_PLANES)
+        assert not any(gt._splits(4, h * w, (3, 3)) for h, w in WHOLE_PLANES)
+        assert gt._splits(2, 1024, (3, 3)) and gt._splits(4, 1088, (1, 5))
+        assert not gt._splits(4, 512, (3, 3))      # below the floor
+        assert not gt._splits(4, 1056, (3, 3))     # not a multiple of 64
+        assert not gt._splits(1, 4096, (3, 3))     # one image
+        assert not gt._splits(4, 4096, (1, 1))     # 1x1 kernel
+        assert not gt._splits(4, 4096, (3, 1))     # one column: maybe a view
+
+    @pytest.mark.parametrize("c,o", [(16, 16), (16, 1), (1, 16), (3, 32)])
+    @pytest.mark.parametrize("want_dx,want_dw", [(True, True), (True, False),
+                                                 (False, True)])
+    def test_backward_is_the_per_image_backward(self, c, o, want_dx, want_dw):
+        # Both stack sides (g's taps when O <= C, x's when C < O): dx is the
+        # images' dx stacked, dw their dw summed in image order.
+        rng = np.random.default_rng(10 * c + o)
+        x, w = rng.normal(size=(4, c, 32, 32)), rng.normal(size=(o, c, 3, 3))
+        g = rng.normal(size=(4, o, 32, 32))
+        dx, dw = gt._conv2d_back(x, w, g, want_dx, want_dw)
+        per = [gt._conv2d_back(x[i:i + 1], w, g[i:i + 1], want_dx, want_dw)
+               for i in range(4)]
+        if want_dx:
+            assert _same_bits(dx, np.concatenate([p[0] for p in per]))
+        else:
+            assert dx is None
+        if want_dw:
+            total = np.zeros_like(w)
+            for _, part in per:
+                total += part
+            assert _same_bits(dw, total)
+        else:
+            assert dw is None
+
+    def test_concurrent_callers_keep_their_bits(self):
+        # Two callers share the pool with batches of 8 images, more than
+        # its workers, under a short switch interval: each gets the outputs
+        # and gradients of its own batch.
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(16, 16, 3, 3))
+        xs = [rng.normal(size=(8, 16, 32, 32)) for _ in range(2)]
+        gs = [rng.normal(size=(8, 16, 32, 32)) for _ in range(2)]
+        want = [(_window_conv(x, w), np.concatenate(
+                    [gt._conv2d_back(x[i:i + 1], w, g[i:i + 1], True, False)[0]
+                     for i in range(8)])) for x, g in zip(xs, gs)]
+        same = [None, None]
+
+        def caller(k):
+            same[k] = all(
+                np.array_equal(gt.conv2d(Tensor(xs[k]), Tensor(w)).data, want[k][0])
+                and np.array_equal(gt._conv2d_back(xs[k], w, gs[k], True, False)[0],
+                                   want[k][1])
+                for _ in range(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert same == [True, True]
+
+    def test_workers_keep_the_callers_errstate(self):
+        # numpy keeps errstate in a context variable; a worker outside the
+        # caller's context would only warn.
+        if gt._image_pool() is None:
+            pytest.skip("no pool here")
+        x, w = np.ones((4, 16, 32, 32)), np.zeros((16, 16, 3, 3))
+        x[2, 5, 7, 9] = np.inf
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                gt.conv2d(Tensor(x), Tensor(w))
+            with pytest.raises(FloatingPointError):
+                gt._conv2d_back(np.ones((4, 16, 32, 32)), w, x, True, False)
 
 
 class TestFusedConvRelu:

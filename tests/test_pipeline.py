@@ -1,9 +1,10 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
-from iwv3 import entropy, lifting, models, pipeline
+from iwv3 import entropy, gradtape, lifting, models, pipeline
 from iwv3.entropy import StreamError, WeightChecksumError, coding_order, decode_image
 from iwv3.gradtape import load_weights, save_weights
 from iwv3.imageio import ImagePlanes
@@ -181,6 +182,19 @@ class TestLossy:
             bs = pipeline.encode_rgb(photo, weights, "additive", qstep_offset=offset)
             sizes.append(len(bs.pack()))
         assert sizes[0] > sizes[1] > sizes[2]
+
+    @pytest.mark.parametrize("mode", ["additive", "affine"])
+    def test_round_trip_starts_no_thread(self, mode, monkeypatch):
+        # Codec convs run one image (N = 1), so none asks for the image pool.
+        asked = []
+        pool = gradtape._image_pool
+        monkeypatch.setattr(gradtape, "_image_pool", lambda: asked.append(1) or pool())
+        weights = perturbed_lossy_weights(mode, 2, seed=5)
+        before = threading.active_count()
+        packed = pipeline.encode_rgb(natural_photo(64, 64, 11), weights, mode).pack()
+        pipeline.decode_bytes(packed, weights)
+        assert threading.active_count() == before
+        assert asked == []
 
     def test_effective_qstep_survives_header_rounding(self):
         weights = perturbed_lossy_weights("additive", 2, seed=10)

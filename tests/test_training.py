@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -334,6 +337,29 @@ class TestSchedule:
         images = [natural_photo(20, 20, 73)]
         crops = training.make_crops(images, cfg, np.random.default_rng(0))
         assert all(c.shape == (64, 64) for c in crops)
+
+
+class TestPinnedTrajectory:
+    @pytest.mark.parametrize("mode, history_sha, weights_sha", [
+        ("additive", "7d9d0384122c292f756c9e9103ae7af0f007aa3f3714670c3575bca538a39627",
+         "a085394db3b3b8f34603833e12fe33a9ebdd1203aee08b42db9cf033d8e60135"),
+        ("affine", "5a621d8fed2827e6a6d9d8ede28f7cd3f83b797466bf1e412888ae0c3c812dc8",
+         "337705d51d3f74d58f37fe28c91de65a07fb37bfb39686171901b4bc5c35020f"),
+    ])
+    def test_history_and_weights_are_pinned(self, mode, history_sha, weights_sha):
+        # Batches of two 32x32 crops: the post-filter's convs take the
+        # per-image split, and every conv's backward the per-image pool.
+        # The trajectory must keep every bit of the single-product one.
+        cfg = small_cfg(stage1_steps=2, stage2_steps=2, stage3_steps=2, mode=mode)
+        weights, history = run_training(cfg, [natural_photo(48, 48, 74)])
+        steps = hashlib.sha256()
+        for stage, step, alpha, report in history:
+            steps.update(struct.pack("<2q4d", stage, step, alpha,
+                                     report.bpp, report.l_obj, report.total))
+        values = hashlib.sha256()
+        for name, arr in weights.items():
+            values.update(name.encode() + b"\0" + arr.astype("<f8").tobytes())
+        assert (steps.hexdigest(), values.hexdigest()) == (history_sha, weights_sha)
 
 
 class TestMeasuredTraining:
