@@ -46,29 +46,37 @@ the batch's.  A conv computes only the gradients its parents can take: none
 for an input off the tape (a constant context or reconstruction) or for a
 leaf that does not require one (online optimization's constant weights).
 
-A training batch's images are independent, so they run on a thread pool
-with one worker per usable CPU (`os.sched_getaffinity`), made on first use.
-The forward builds and multiplies each image's window on its own, into that
-image's rows of the output, when N > 1, the kernel is more than one column
-wide and each image has at least 1024 positions at a multiple of 64.  Every
-row keeps its bits: an image's window matrix is a row band of the batch's,
-multiplied by the same weight matrix, and such bands equalled the batch
-product in every case tried (each 3x3 layer of the additive and affine
-models at 32x32 to 64x64 planes, under OpenBLAS's SkylakeX, Haswell and
-Sandybridge kernels).  The 1024-row floor keeps a margin above the small
-sizes at which OpenBLAS may take other code paths.  A kernel one column
-wide is never split: one image's 1x1 window is the strided view tensordot
-passes, not a row band of the batch's copy, and a 16->1 conv's product on
-it differs (a kh x 1 kernel on a one-row plane gives such a view too).
-Every other conv, the codec's included (N = 1), is the one product above
-and never starts the pool.  The backward runs its per-image loop on the
-pool and adds the images' dw parts in image order afterwards, as the loop
-did.  Each task runs in a copy of the caller's contextvars context, where
-numpy keeps its errstate, and calls nothing the benchmark's tracer wraps.
-Each worker runs its products on one BLAS thread (OpenBLAS's
-`openblas_set_num_threads_local`); where that call is missing, or on one
-CPU, there is no pool and the images run in turn.  On a 2-CPU machine this
-takes a quarter off the benchmark's training steps and moves no bit.
+The forward builds and multiplies its window in bands when it can: each
+band is whole rows of one image, starts at a multiple of 64 rows of the
+window matrix and holds at least 1024 of them, and its window, built from
+the input padded once, is multiplied into its rows of the outputs.  A
+batch (N > 1) takes one band per image when each image has at least 1024
+positions at a multiple of 64.  One image (the codec's convs, `eval_rd`)
+is cut at aligned rows into max(usable CPUs, positions / 2^14) bands, so
+the window in flight is bounded and not 9x the plane.  Every row keeps its
+bits: a band's window is a row band of the whole matrix, multiplied by the
+same weight matrix, and such bands equalled the one product in every case
+tried (each 3x3 layer of the additive and affine models, batches of 32x32
+to 64x64 planes and single planes up to 300x277, under OpenBLAS's
+SkylakeX, Haswell and Sandybridge kernels).  Cuts that are not at a
+multiple of 64 rows changed outputs of the 16->1 layers (the GEMV path),
+and the 1024-row floor keeps a margin above the small sizes at which
+OpenBLAS may take other code paths.  A kernel one column wide is never
+cut: one image's 1x1 window is the strided view tensordot passes, not a
+row band of the batch's copy, and a 16->1 conv's product on it differs (a
+kh x 1 kernel on a one-row plane gives such a view too).
+
+Bands run side by side: the caller runs the first itself beside a pool of
+one worker per other usable CPU (`os.sched_getaffinity`), made on first
+use, and takes back each band no worker has started.  So a band that
+dispatches again never waits on one that no thread runs.  The backward's
+per-image loop runs the same way and adds the images' dw parts in image
+order afterwards, as the loop did.  A worker's task runs in a copy of the
+caller's contextvars context, where numpy keeps its errstate, and calls
+nothing the benchmark's tracer wraps.  Each worker runs its products on one
+BLAS thread (OpenBLAS's `openblas_set_num_threads_local`); where that call
+is missing, or on one CPU, there is no pool and the caller runs every band
+in turn.
 """
 
 from __future__ import annotations
@@ -379,10 +387,13 @@ def slice_channels(a, lo: int, hi: int) -> Tensor:
 # Convolution (stride 1, zero padding preserving H x W, odd kernels)
 # ---------------------------------------------------------------------------
 
-# A batch's forward product splits into one product per image when each
-# image's window has at least this many rows, at a multiple of this many.
-_SPLIT_ROWS = 1024
-_SPLIT_ALIGN = 64
+# A band of a conv's window matrix is whole rows of one image.  It starts at
+# a multiple of _BAND_ALIGN rows of the batch's matrix and holds at least
+# _BAND_ROWS rows.  One image is cut into bands of at most about _BAND_CAP
+# rows, and into no fewer bands than there are usable CPUs.
+_BAND_ROWS = 1024
+_BAND_ALIGN = 64
+_BAND_CAP = 1 << 14
 
 
 def _blas_threads_local():
@@ -400,61 +411,120 @@ def _blas_threads_local():
 
 
 @functools.cache
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@functools.cache
 def _image_pool():
-    """The thread pool that runs a batch's images, one worker per usable
-    CPU, each running its products on one BLAS thread; None (images run in
-    turn) on one CPU or where that thread count cannot be set."""
+    """The thread pool whose workers run bands beside the caller, one worker
+    per usable CPU but the caller's, each running its products on one BLAS
+    thread; None (bands run in turn) on one CPU or where that thread count
+    cannot be set."""
     setter = _blas_threads_local()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if setter is None or cpus < 2:
+    if setter is None or _usable_cpus() < 2:
         return None
-    return futures.ThreadPoolExecutor(cpus, thread_name_prefix="iwv3-image",
+    return futures.ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="iwv3-band",
                                       initializer=setter, initargs=(1,))
 
 
-def _splits(n, positions, kernel):
-    """Whether a conv of n images of `positions` samples each, with a
-    (kh, kw) kernel, builds and multiplies each image's window on its own.
-    A kernel more than one column wide makes one image's window, like the
-    batch's, a copy; a one-column kernel may leave it a strided view."""
-    return (n > 1 and kernel[1] > 1 and positions >= _SPLIT_ROWS
-            and positions % _SPLIT_ALIGN == 0)
+def _bands(n, h, wd, kernel):
+    """The bands of a conv of n images of h x wd positions with a (kh, kw)
+    kernel, as (image, first row, end row) triples, or None for one product.
+
+    A batch's band is one image, when each image has at least _BAND_ROWS
+    positions at a multiple of _BAND_ALIGN.  One image is cut into
+    max(usable CPUs, positions / _BAND_CAP rounded up) bands, at the aligned
+    rows nearest to even cuts, leaving out a cut that would make a band
+    under _BAND_ROWS positions; if no cut is left, into one band fewer, and
+    so on.  A kernel one column wide is never cut: its window may be a
+    strided view, not a copy."""
+    positions = h * wd
+    if kernel[1] == 1:
+        return None
+    if n > 1:
+        if positions >= _BAND_ROWS and positions % _BAND_ALIGN == 0:
+            return [(i, 0, h) for i in range(n)]
+        return None
+    step = _BAND_ALIGN // int(np.gcd(wd, _BAND_ALIGN))
+    least = -(-_BAND_ROWS // wd)
+    for count in range(max(_usable_cpus(), -(-positions // _BAND_CAP)), 1, -1):
+        cuts = [0]
+        for j in range(1, count):
+            cut = step * ((2 * j * h + count * step) // (2 * count * step))
+            if cut - cuts[-1] >= least and h - cut >= least:
+                cuts.append(cut)
+        if len(cuts) > 1:
+            cuts.append(h)
+            return [(0, top, end) for top, end in zip(cuts, cuts[1:])]
+    return None
 
 
-def _each_image(pool, fn, n):
-    """[fn(i) for i in range(n)], on the pool when there is one.  Each task
-    runs in a copy of the caller's context, where numpy keeps its errstate."""
+def _run_all(fn, n):
+    """[fn(i) for i in range(n)].  The caller runs fn(0), then takes back
+    from the end, with Future.cancel, each task no worker has started and
+    runs it; so a task that dispatches again never waits on a task that has
+    not started.  A worker's task runs in a copy of the caller's context,
+    where numpy keeps its errstate."""
+    pool = _image_pool() if n > 1 else None
     if pool is None:
         return [fn(i) for i in range(n)]
-    tasks = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
-    futures.wait(tasks)
-    return [t.result() for t in tasks]
+    tasks = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(1, n)]
+    results = [None] * n
+    try:
+        results[0] = fn(0)
+        for i in range(n - 1, 0, -1):
+            if tasks[i - 1].cancel():
+                results[i] = fn(i)
+    finally:
+        # A cancelled task counts as done for futures.wait only once a
+        # worker has dequeued it, so only the started ones are waited for.
+        started = [task for task in tasks if not task.cancel()]
+        futures.wait(started)
+    for i, task in enumerate(tasks, 1):
+        if not task.cancelled():
+            results[i] = task.result()
+    return results
+
+
+def _pad_input(x, kh, kw, order="C"):
+    """x zero-padded by kh // 2 rows and kw // 2 columns on each side."""
+    n, c, h, wd = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), x.dtype, order=order)
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    return xp
+
+
+def _window_rows(xp, kh, kw, top, end):
+    """The rows of the window matrix of the C-ordered pad xp that belong to
+    output rows top..end-1 of each image, in tensordot's C order.  Each
+    kernel row moves as one element: kw adjacent samples of a C-ordered pad
+    are one void element."""
+    n, c, _, wp = xp.shape
+    wd = wp - kw + 1
+    sn, sc, sh, sw = xp.strides
+    row = np.dtype(f"V{kw * xp.itemsize}")
+    rows = np.ndarray((n, end - top, wd, c, kh), row, xp, offset=top * sh,
+                      strides=(sn, sh, sw, sc, sh))
+    a = np.empty((n * (end - top) * wd, c * kh * kw), xp.dtype)
+    a.view(row).reshape(rows.shape)[...] = rows
+    return a
 
 
 def _window_matrix(x, kh, kw):
     """The (N*H*W, C*kh*kw) window matrix of x, zero-padded to keep H x W."""
     n, c, h, wd = x.shape
-    ph, pw = kh // 2, kw // 2
     m, k = n * h * wd, c * kh * kw
     # Laid out as np.pad lays it out, so the window view has tensordot's strides.
-    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), x.dtype,
-                  order="F" if x.flags.fnc else "C")
-    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    xp = _pad_input(x, kh, kw, order="F" if x.flags.fnc else "C")
     sn, sc, sh, sw = xp.strides
     win = np.ndarray((n, h, wd, c, kh, kw), xp.dtype, xp,
                      strides=(sn, sh, sw, sc, sh, sw))
     try:
         return win.reshape(m, k, copy=False)  # where tensordot passes a view
     except ValueError:
-        # The C-ordered copy tensordot would make, moved one kernel row at a
-        # time: kw adjacent samples of a C-ordered pad are one void element.
-        xp = np.ascontiguousarray(xp)
-        sn, sc, sh, sw = xp.strides
-        row = np.dtype(f"V{kw * xp.itemsize}")
-        rows = np.ndarray((n, h, wd, c, kh), row, xp, strides=(sn, sh, sw, sc, sh))
-        a = np.empty((m, k), xp.dtype)
-        a.view(row).reshape(rows.shape)[...] = rows
-        return a
+        return _window_rows(np.ascontiguousarray(xp), kh, kw, 0, h)  # the copy it makes
 
 
 def _product_into(out, a, w, b):
@@ -470,12 +540,12 @@ def _product_into(out, a, w, b):
 def _conv2d_heads_raw(x, heads):
     """[_conv2d_raw(x, w, b) for w, b in heads] from one window matrix: the
     heads share a kernel size, and each runs the product a lone conv would.
-    When `_splits` holds, each image's window is built and multiplied on
-    the pool instead, into the same rows of the outputs."""
+    When `_bands` cuts the conv, each band's window is built from x, padded
+    once, and multiplied into its rows of the outputs, bands side by side."""
     n, _, h, wd = x.shape
     kh, kw = heads[0][0].shape[2:]
-    pool = _image_pool() if _splits(n, h * wd, (kh, kw)) else None
-    if pool is None:
+    bands = _bands(n, h, wd, (kh, kw))
+    if bands is None:
         a = _window_matrix(x, kh, kw)
         outs = []
         for w, b in heads:
@@ -483,14 +553,16 @@ def _conv2d_heads_raw(x, heads):
             _product_into(out, a, w, b)
             outs.append(out)
         return outs
+    xp = _pad_input(x, kh, kw)
     outs = [np.empty((n, w.shape[0], h, wd)) for w, _ in heads]
 
-    def image(i):
-        a = _window_matrix(x[i:i + 1], kh, kw)
+    def band(j):
+        i, top, end = bands[j]
+        a = _window_rows(xp[i:i + 1], kh, kw, top, end)
         for (w, b), out in zip(heads, outs):
-            _product_into(out[i:i + 1], a, w, b)
+            _product_into(out[i:i + 1, :, top:end], a, w, b)
 
-    _each_image(pool, image, n)
+    _run_all(band, len(bands))
     return outs
 
 
@@ -634,7 +706,7 @@ def _conv2d_back(x, w, g, want_dx, want_dw):
             dx[i] = dxi.reshape(c, h, pitch)[:, :, :wd]
         return part
 
-    parts = _each_image(_image_pool() if n > 1 else None, image, n)
+    parts = _run_all(image, n)
     if want_dw:
         for part in parts:
             dw += part

@@ -68,12 +68,11 @@ for name, weights_file in cases.items():
 print(json.dumps({"core": blas_core(), "features": __cpu_features__, "digests": digests}))
 """
 
-# The forward split's bit test of tests/test_gradtape.py, rerun.
+# The banded forward's bit test of tests/test_gradtape.py, rerun.
 _SPLIT = _BLAS_CORE + """
-from iwv3 import gradtape
 from test_gradtape import split_cases, split_conv_mismatches
 
-print(json.dumps({"core": blas_core(), "pool": gradtape._image_pool() is not None,
+print(json.dumps({"core": blas_core(),
                   "mismatches": {case: split_conv_mismatches(names)
                                  for case, names in split_cases().items()}}))
 """
@@ -148,8 +147,9 @@ def test_decodes_identically_under_other_kernels(name, streams):
 
 @pytest.mark.parametrize("name", ["openblas-haswell", "openblas-sandybridge"])
 def test_image_split_keeps_the_batch_bits_under_other_kernels(name):
-    # Each image's product must give the rows of the batch's product on
-    # every kernel, not only on the one this host picks.
+    # Each band's product (one image of a batch, or rows of one image) must
+    # give the rows of the whole product on every kernel, not only on the
+    # one this host picks.
     overrides, needed = ENVIRONMENTS[name]
     missing = [f for f in needed if not __cpu_features__.get(f)]
     if missing:
@@ -164,6 +164,4 @@ def test_image_split_keeps_the_batch_bits_under_other_kernels(name):
     got = json.loads(proc.stdout)
     if got["core"] not in (None, overrides["OPENBLAS_CORETYPE"]):
         pytest.skip(f"OpenBLAS ran its {got['core']} kernels, not {overrides['OPENBLAS_CORETYPE']}")
-    if not got["pool"]:
-        pytest.skip("no image pool: every conv is one product")
     assert got["mismatches"] == {case: [] for case in got["mismatches"]}

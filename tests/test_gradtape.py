@@ -2,6 +2,7 @@ import itertools
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -332,9 +333,14 @@ def _same_bits(a, b):
 
 
 # N = 4 planes whose images the forward builds and multiplies one by one,
-# and planes below the split's 1024-position floor.
+# and planes below the 1024-position floor.
 SPLIT_PLANES = ((64, 64), (64, 32), (32, 32))
 WHOLE_PLANES = ((32, 16), (16, 16))
+# One-image planes: cut in two on a 2-CPU machine (64x64), cut into bands of
+# at most about 2^14 positions (160x224; 300x277, whose odd width allows a
+# cut only every 64 rows) and too short for any aligned cut (45x49).
+BAND_PLANES = ((64, 64), (160, 224), (300, 277))
+UNCUT_PLANES = ((45, 49),)
 
 
 def split_cases():
@@ -357,30 +363,45 @@ def split_cases():
 
 
 def split_conv_mismatches(names, seed=0):
-    """The (plane, layout) pairs at which a 4-image conv2d (conv2d_heads for
+    """The (images, plane, layout) triples at which conv2d (conv2d_heads for
     several weights) of the named weight shapes differs from the window
-    contraction, over SPLIT_PLANES and WHOLE_PLANES."""
+    contraction: 4 images of SPLIT_PLANES and WHOLE_PLANES, one image of
+    BAND_PLANES and UNCUT_PLANES."""
     shapes = {**models.all_weight_shapes("additive", 2),
               **models.all_weight_shapes("affine", 2)}
     rng = np.random.default_rng(seed)
     heads = [(rng.normal(size=shapes[n]), rng.normal(size=shapes[n][0])) for n in names]
     bad = []
-    for plane in SPLIT_PLANES + WHOLE_PLANES:
-        for at, x in enumerate(_layouts(rng.normal(size=(4, shapes[names[0]][1]) + plane))):
-            outs = gt.conv2d_heads(Tensor(x), [(Tensor(w), Tensor(b)) for w, b in heads])
-            if not all(np.array_equal(out.data, _window_conv(x, w, b))
-                       for out, (w, b) in zip(outs, heads)):
-                bad.append([list(plane), at])
+    for n, planes in ((4, SPLIT_PLANES + WHOLE_PLANES), (1, BAND_PLANES + UNCUT_PLANES)):
+        for plane in planes:
+            x = rng.normal(size=(n, shapes[names[0]][1]) + plane)
+            for at, xl in enumerate(_layouts(x)):
+                outs = gt.conv2d_heads(Tensor(xl), [(Tensor(w), Tensor(b)) for w, b in heads])
+                if not all(np.array_equal(out.data, _window_conv(xl, w, b))
+                           for out, (w, b) in zip(outs, heads)):
+                    bad.append([n, list(plane), at])
     return bad
 
 
+def _check_bands(bands, n, h, wd):
+    """Every band is whole rows of one image, starts at a multiple of 64
+    rows of the batch's window matrix and holds at least 1024 of them, and
+    the bands cover each row of each image once."""
+    assert sorted((i, r) for i, top, end in bands for r in range(top, end)) == [
+        (i, r) for i in range(n) for r in range(h)]
+    for i, top, end in bands:
+        assert (i * h + top) * wd % 64 == 0
+        assert (end - top) * wd >= 1024
+
+
 class TestImageSplit:
-    """A batch's images run one by one on the pool, with the batch's bits."""
+    """A conv's window is built and multiplied in bands, one image of a
+    batch or rows of one image, with the bits of the one product."""
 
     @pytest.mark.parametrize("case", sorted(split_cases()))
     def test_split_forward_is_the_window_contraction(self, case):
         # P/U nets, affine heads, post-filter and context s1/s2/l1/l2, at
-        # planes that split and planes that do not, in every layout.
+        # planes that take bands and planes that do not, in every layout.
         assert split_conv_mismatches(split_cases()[case]) == []
 
     @pytest.mark.parametrize("plane,images", [((32, 32), [1, 1, 1, 1]),
@@ -392,29 +413,71 @@ class TestImageSplit:
         # The 1024-row floor keeps a margin above the sizes at which OpenBLAS
         # may take other code paths: a batch of 32x16 images (512 rows each)
         # stays one window and one product.
-        if gt._image_pool() is None:
-            pytest.skip("no pool here: every conv is one product")
         built = []
 
-        def counted(x, kh, kw, _build=gt._window_matrix):
-            built.append(x.shape[0])
-            return _build(x, kh, kw)
+        def counted(xp, *args, _build=gt._window_rows):
+            built.append(xp.shape[0])
+            return _build(xp, *args)
 
-        monkeypatch.setattr(gt, "_window_matrix", counted)
+        monkeypatch.setattr(gt, "_window_rows", counted)
         rng = np.random.default_rng(8)
         gt.conv2d(Tensor(rng.normal(size=(4, 16) + plane)),
                   Tensor(rng.normal(size=(16, 16, 3, 3))))
-        assert built == images
+        assert sorted(built) == images
 
-    def test_split_rule(self):
-        assert all(gt._splits(4, h * w, (3, 3)) for h, w in SPLIT_PLANES)
-        assert not any(gt._splits(4, h * w, (3, 3)) for h, w in WHOLE_PLANES)
-        assert gt._splits(2, 1024, (3, 3)) and gt._splits(4, 1088, (1, 5))
-        assert not gt._splits(4, 512, (3, 3))      # below the floor
-        assert not gt._splits(4, 1056, (3, 3))     # not a multiple of 64
-        assert not gt._splits(1, 4096, (3, 3))     # one image
-        assert not gt._splits(4, 4096, (1, 1))     # 1x1 kernel
-        assert not gt._splits(4, 4096, (3, 1))     # one column: maybe a view
+    @pytest.mark.parametrize("plane,rows", [((64, 64), [2048, 2048]),
+                                            ((160, 224), [52 * 224, 54 * 224, 54 * 224]),
+                                            ((45, 49), [45 * 49]),
+                                            ((32, 63), [32 * 63])])
+    def test_one_image_windows_are_bands(self, plane, rows, monkeypatch):
+        # On two CPUs a one-image plane of at least 2048 positions is cut in
+        # two, and one above 2^14 positions into bands of at most about that
+        # many; 45x49 has no aligned cut and 32x63 too few positions.
+        monkeypatch.setattr(gt, "_usable_cpus", lambda: 2)
+        built = []
+
+        def counted(*args, _build=gt._window_rows):
+            a = _build(*args)
+            built.append(a.shape[0])
+            return a
+
+        monkeypatch.setattr(gt, "_window_rows", counted)
+        rng = np.random.default_rng(8)
+        gt.conv2d(Tensor(rng.normal(size=(1, 16) + plane)),
+                  Tensor(rng.normal(size=(16, 16, 3, 3))))
+        assert sorted(built) == rows
+
+    def test_split_rule(self, monkeypatch):
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(gt, "_usable_cpus", lambda: cpus)
+            for n, h, wd in itertools.product((1, 2, 4), range(1, 330, 7),
+                                              range(1, 330, 13)):
+                bands = gt._bands(n, h, wd, (3, 3))
+                if bands is not None:
+                    _check_bands(bands, n, h, wd)
+                elif n == 1 and max(cpus, h * wd / 16384) > 1:
+                    # A plane to be cut stays whole only without a legal cut.
+                    least = -(-1024 // wd)
+                    assert not any(r * wd % 64 == 0 for r in range(least, h - least + 1))
+            # One image: max(CPUs, positions / 2^14) bands at aligned cuts.
+            assert len(gt._bands(1, 512, 512, (3, 3))) == max(cpus, 16)
+            assert len(gt._bands(1, 160, 224, (3, 3))) == max(cpus, 3)
+            assert (gt._bands(1, 64, 64, (3, 3)) is None) == (cpus == 1)
+            assert gt._bands(1, 45, 49, (3, 3)) is None     # no aligned cut
+        assert gt._bands(1, 32, 64, (3, 3)) == [(0, 0, 16), (0, 16, 32)]
+        assert gt._bands(1, 31, 66, (3, 3)) is None         # 2046 positions
+        assert gt._bands(1, 300, 277, (3, 3)) == [
+            (0, top, min(top + 64, 300)) for top in range(0, 300, 64)]
+        # A batch: one band per image of >= 1024 positions, a multiple of 64.
+        assert all(gt._bands(4, h, w, (3, 3)) == [(i, 0, h) for i in range(4)]
+                   for h, w in SPLIT_PLANES)
+        assert not any(gt._bands(4, h, w, (3, 3)) for h, w in WHOLE_PLANES)
+        assert gt._bands(2, 32, 32, (3, 3)) and gt._bands(4, 32, 34, (1, 5))
+        assert gt._bands(4, 16, 32, (3, 3)) is None         # below the floor
+        assert gt._bands(4, 32, 33, (3, 3)) is None         # not a multiple of 64
+        for n in (1, 4):
+            assert gt._bands(n, 512, 512, (1, 1)) is None   # 1x1 kernel
+            assert gt._bands(n, 512, 512, (3, 1)) is None   # one column: maybe a view
 
     @pytest.mark.parametrize("c,o", [(16, 16), (16, 1), (1, 16), (3, 32)])
     @pytest.mark.parametrize("want_dx,want_dw", [(True, True), (True, False),
@@ -440,17 +503,45 @@ class TestImageSplit:
         else:
             assert dw is None
 
+    @pytest.mark.parametrize("cpus,setter", [(1, True), (2, False)])
+    def test_bands_run_in_turn_without_a_pool(self, cpus, setter, monkeypatch):
+        # On one CPU, or without OpenBLAS's per-thread setter, there is no
+        # pool: the caller runs every band, with the same outputs.
+        monkeypatch.setattr(gt, "_usable_cpus", lambda: cpus)
+        if not setter:
+            monkeypatch.setattr(gt, "_blas_threads_local", lambda: None)
+        pool = gt._image_pool.__wrapped__()
+        assert pool is None
+        monkeypatch.setattr(gt, "_image_pool", lambda: pool)
+        threads = set()
+
+        def spied(*args, _build=gt._window_rows):
+            threads.add(threading.current_thread())
+            return _build(*args)
+
+        monkeypatch.setattr(gt, "_window_rows", spied)
+        rng = np.random.default_rng(13)
+        w, b = rng.normal(size=(16, 16, 3, 3)), rng.normal(size=16)
+        for shape in ((1, 16, 64, 64), (1, 16, 160, 224), (4, 16, 32, 32)):
+            x = rng.normal(size=shape)
+            assert np.array_equal(gt.conv2d(Tensor(x), Tensor(w), Tensor(b)).data,
+                                  _window_conv(x, w, b))
+        assert threads == {threading.current_thread()}
+
     def test_concurrent_callers_keep_their_bits(self):
         # Two callers share the pool with batches of 8 images, more than
-        # its workers, under a short switch interval: each gets the outputs
-        # and gradients of its own batch.
+        # its workers, and with one-image planes of three bands, under a
+        # short switch interval: each gets the outputs and gradients of its
+        # own convs.
         rng = np.random.default_rng(12)
         w = rng.normal(size=(16, 16, 3, 3))
         xs = [rng.normal(size=(8, 16, 32, 32)) for _ in range(2)]
         gs = [rng.normal(size=(8, 16, 32, 32)) for _ in range(2)]
+        planes = [rng.normal(size=(1, 16, 160, 224)) for _ in range(2)]
         want = [(_window_conv(x, w), np.concatenate(
                     [gt._conv2d_back(x[i:i + 1], w, g[i:i + 1], True, False)[0]
-                     for i in range(8)])) for x, g in zip(xs, gs)]
+                     for i in range(8)]), _window_conv(p, w))
+                for x, g, p in zip(xs, gs, planes)]
         same = [None, None]
 
         def caller(k):
@@ -458,6 +549,8 @@ class TestImageSplit:
                 np.array_equal(gt.conv2d(Tensor(xs[k]), Tensor(w)).data, want[k][0])
                 and np.array_equal(gt._conv2d_back(xs[k], w, gs[k], True, False)[0],
                                    want[k][1])
+                and np.array_equal(gt.conv2d(Tensor(planes[k]), Tensor(w)).data,
+                                   want[k][2])
                 for _ in range(5))
 
         interval = sys.getswitchinterval()
@@ -474,17 +567,82 @@ class TestImageSplit:
         assert same == [True, True]
 
     def test_workers_keep_the_callers_errstate(self):
-        # numpy keeps errstate in a context variable; a worker outside the
-        # caller's context would only warn.
-        if gt._image_pool() is None:
-            pytest.skip("no pool here")
-        x, w = np.ones((4, 16, 32, 32)), np.zeros((16, 16, 3, 3))
-        x[2, 5, 7, 9] = np.inf
+        # numpy keeps errstate in a context variable; a band run outside the
+        # caller's context would only warn.  The first band is the caller's,
+        # the others a worker's or, once taken back, the caller's.
+        w = np.zeros((16, 16, 3, 3))
+        for at in ((2, 5, 7, 9), (0, 5, 7, 9), (0, 5, 150, 200)):
+            x = np.ones((4, 16, 32, 32) if at[0] else (1, 16, 160, 224))
+            x[at] = np.inf
+            with np.errstate(invalid="raise"):
+                with pytest.raises(FloatingPointError):
+                    gt.conv2d(Tensor(x), Tensor(w))
+                with pytest.raises(FloatingPointError):
+                    gt._conv2d_back(np.ones(x.shape), w, x, True, False)
+
+
+def _needs_pool():
+    if gt._image_pool() is None:
+        pytest.skip("no pool here: tasks run in turn")
+
+
+class TestRunAll:
+    """The caller runs tasks beside the pool's workers and takes back those
+    no worker has started."""
+
+    def test_results_come_in_task_order(self):
+        # Later tasks finish first.
+        def task(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        assert gt._run_all(task, 8) == [i * i for i in range(8)]
+        assert gt._run_all(task, 1) == [0]
+
+    def test_a_task_may_dispatch_again(self):
+        # A worker's task that dispatches inner tasks, while the caller is
+        # busy, runs them itself: nothing waits on a task no one has started.
+        _needs_pool()
+        started, names = threading.Event(), []
+
+        def outer(i):
+            if i == 0:
+                started.wait(10)
+            else:
+                started.set()
+            names.append(threading.current_thread().name)
+            return sum(gt._run_all(lambda j: j + 1, 4)) + i
+
+        got = []
+        t = threading.Thread(target=lambda: got.append(gt._run_all(outer, 3)))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert got == [[10, 11, 12]]
+        assert any(name.startswith("iwv3-band") for name in names)
+
+    @pytest.mark.parametrize("raiser", [0, 1])
+    def test_a_failing_task_raises_in_the_caller(self, raiser):
+        # Task 0 is the caller's; task 1 starts on a worker while the
+        # caller waits for it.  Either raises under the caller's errstate.
+        _needs_pool()
+        started, names = threading.Event(), {}
+
+        def task(i):
+            names[i] = threading.current_thread().name
+            if i == 0:
+                started.wait(10)
+            else:
+                started.set()
+            if i == raiser:
+                np.divide(np.zeros(2), 0.0)
+            return i
+
         with np.errstate(invalid="raise"):
             with pytest.raises(FloatingPointError):
-                gt.conv2d(Tensor(x), Tensor(w))
-            with pytest.raises(FloatingPointError):
-                gt._conv2d_back(np.ones((4, 16, 32, 32)), w, x, True, False)
+                gt._run_all(task, 2)
+        assert names[1].startswith("iwv3-band")
+        assert not names[0].startswith("iwv3-band")
 
 
 class TestFusedConvRelu:

@@ -183,18 +183,36 @@ class TestLossy:
             sizes.append(len(bs.pack()))
         assert sizes[0] > sizes[1] > sizes[2]
 
-    @pytest.mark.parametrize("mode", ["additive", "affine"])
-    def test_round_trip_starts_no_thread(self, mode, monkeypatch):
-        # Codec convs run one image (N = 1), so none asks for the image pool.
-        asked = []
-        pool = gradtape._image_pool
-        monkeypatch.setattr(gradtape, "_image_pool", lambda: asked.append(1) or pool())
+    @pytest.mark.parametrize("mode, stream_sha, image_sha", [
+        ("additive", "9e43c9581b205b1a35374c09a298f9ce82d06615cde0a9c08e3a9e4c5172d990",
+         "b3082c374d0eeeacb5ef5556ef186435967f1361783a2e47a02716c80028af26"),
+        ("affine", "efb3a700fd708262a0d10e8fda7f3b45145ae3dcfb65977c97c867ee11b8883c",
+         "17b6ebfd405f9d70407b67f2b296ee0724bbd06e32b9e0c2f4a4d67a916875dd"),
+    ], ids=["additive", "affine"])
+    def test_round_trip_is_the_same_with_bands_in_turn(self, mode, stream_sha, image_sha,
+                                                       monkeypatch):
+        # A 96x96 photo's full-resolution planes take bands (two on a 2-CPU
+        # machine).  Bytes and decoded image are those of the whole-plane
+        # products (the SHA-256 pins, which may change only together with
+        # entropy.STREAM_VERSION) and of the bands run in turn by the
+        # caller, and round trips start no thread beyond the pool's workers.
         weights = perturbed_lossy_weights(mode, 2, seed=5)
+        photo = natural_photo(96, 96, 11)
         before = threading.active_count()
-        packed = pipeline.encode_rgb(natural_photo(64, 64, 11), weights, mode).pack()
-        pipeline.decode_bytes(packed, weights)
-        assert threading.active_count() == before
-        assert asked == []
+        trips = []
+        for _ in range(10):
+            packed = pipeline.encode_rgb(photo, weights, mode).pack()
+            trips.append((packed, pipeline.decode_bytes(packed, weights)))
+        workers = 0 if gradtape._image_pool() is None else gradtape._usable_cpus() - 1
+        assert threading.active_count() <= before + workers
+        monkeypatch.setattr(gradtape, "_image_pool", lambda: None)
+        packed = pipeline.encode_rgb(photo, weights, mode).pack()
+        decoded = pipeline.decode_bytes(packed, weights)
+        assert hashlib.sha256(packed).hexdigest() == stream_sha
+        assert hashlib.sha256(decoded.tobytes()).hexdigest() == image_sha
+        for got, image in trips:
+            assert got == packed
+            assert np.array_equal(image, decoded)
 
     def test_effective_qstep_survives_header_rounding(self):
         weights = perturbed_lossy_weights("additive", 2, seed=10)
